@@ -16,7 +16,7 @@
 
 #include "bench_common.hpp"
 #include "common/config.hpp"
-#include "core/verification.hpp"
+#include "core/verification_engine.hpp"
 #include "tree/prune.hpp"
 
 int main() {
@@ -40,10 +40,9 @@ int main() {
 
     const core::FormalReport formal =
         core::verify_formal(policy, cfg.criteria, /*correct=*/true);
-    Rng rng(cfg.verification_seed);
-    const core::ProbabilisticReport prob = core::verify_probabilistic_one_step(
-        policy, *artifacts.model, generator.sampler(), cfg.criteria,
-        cfg.probabilistic_samples, rng);
+    const core::ProbabilisticReport prob = core::VerificationEngine().verify_probabilistic(
+        policy, *artifacts.model, generator.sampler(), cfg.criteria, cfg.probabilistic_samples,
+        cfg.verification_seed);
     const std::size_t nodes_before = policy.tree().node_count();
     const tree::PruneReport pruned = tree::merge_redundant_leaves(policy.mutable_tree());
 

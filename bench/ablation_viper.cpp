@@ -18,6 +18,7 @@
 
 #include "bench_common.hpp"
 #include "common/config.hpp"
+#include "core/verification_engine.hpp"
 #include "core/viper.hpp"
 
 int main() {
@@ -43,10 +44,9 @@ int main() {
   const core::FormalReport viper_formal =
       core::verify_formal(viper_policy, cfg.criteria, /*correct=*/true);
   core::DecisionDataGenerator generator(artifacts.historical, cfg.decision);
-  Rng verify_rng(cfg.verification_seed);
-  const core::ProbabilisticReport viper_prob = core::verify_probabilistic_one_step(
-      viper_policy, *artifacts.model, generator.sampler(), cfg.criteria,
-      cfg.probabilistic_samples, verify_rng);
+  const core::ProbabilisticReport viper_prob = core::VerificationEngine().verify_probabilistic(
+      viper_policy, *artifacts.model, generator.sampler(), cfg.criteria, cfg.probabilistic_samples,
+      cfg.verification_seed);
 
   // --- Deploy both in the same simulated January. ---
   auto one_shot_policy = artifacts.make_dt_policy();

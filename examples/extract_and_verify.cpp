@@ -14,7 +14,7 @@
 
 #include "core/decision_data.hpp"
 #include "core/dt_policy.hpp"
-#include "core/verification.hpp"
+#include "core/verification_engine.hpp"
 #include "dynamics/dataset.hpp"
 #include "dynamics/dynamics_model.hpp"
 #include "envlib/env.hpp"
@@ -72,9 +72,8 @@ int main() {
               formal.leaves_total, formal.corrected_crit2 + formal.corrected_crit3,
               formal.corrected_crit2, formal.corrected_crit3);
 
-  Rng rng(404);
-  const core::ProbabilisticReport prob = core::verify_probabilistic_one_step(
-      policy, model, generator.sampler(), criteria, 2000, rng);
+  const core::ProbabilisticReport prob = core::VerificationEngine().verify_probabilistic(
+      policy, model, generator.sampler(), criteria, 2000, /*seed=*/404);
   std::printf("criterion #1: safe probability %.3f over %zu one-step samples -> %s\n",
               prob.safe_probability, prob.samples,
               prob.passes(criteria) ? "PASS" : "FAIL");

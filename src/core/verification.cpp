@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "core/verification_engine.hpp"
 #include "envlib/observation.hpp"
 
 namespace verihvac::core {
@@ -180,20 +181,8 @@ ProbabilisticReport verify_probabilistic_one_step(const DtPolicy& policy,
                                                   const AugmentedSampler& sampler,
                                                   const VerificationCriteria& criteria,
                                                   std::size_t n_samples, Rng& rng) {
-  ProbabilisticReport report;
-  const Matrix& historical = sampler.historical();
-  const std::size_t occ_dim = sampler.schema().occupancy_index();
-  while (report.samples < n_samples) {
-    auto [x, row] = sample_safe_occupied(sampler, criteria.comfort, rng);
-    if (!continuation_occupied(historical, row, 1, occ_dim)) continue;
-    const sim::SetpointPair action = policy.decide(x);
-    const double next_temp = model.predict(x, action);
-    ++report.samples;
-    if (!criteria.comfort.contains(next_temp)) ++report.failures;
-  }
-  report.safe_probability =
-      1.0 - static_cast<double>(report.failures) / static_cast<double>(report.samples);
-  return report;
+  return VerificationEngine().verify_probabilistic(policy, model, sampler, criteria, n_samples,
+                                                   rng.next());
 }
 
 ProbabilisticReport verify_probabilistic_h_step(const DtPolicy& policy,

@@ -22,9 +22,10 @@
 // Probabilistic verification (criterion #1) uses the augmented historical
 // sampler: draw safe occupied inputs, apply the policy, advance one step
 // through the learned dynamics model, and measure the fraction that stays
-// safe. §3.3.2 proves the one-step estimator equals the H-step bootstrap
-// estimator; verify_probabilistic_h_step implements the bootstrap variant
-// so the equivalence is empirically checkable.
+// safe. Its one estimator is VerificationEngine::verify_probabilistic
+// (core/verification_engine.hpp). §3.3.2 proves the one-step estimator
+// equals the H-step bootstrap estimator; verify_probabilistic_h_step is the
+// serial bootstrap reference that makes the equivalence checkable.
 #pragma once
 
 #include <cstdint>
@@ -100,9 +101,7 @@ struct ProbabilisticReport {
 /// Draws an input that is safe (in-comfort) and occupied — the subject
 /// region of criterion #1 — by rejection sampling over the augmented
 /// historical distribution; throws after 10000 rejections (degenerate
-/// historical data). Returns the noised input and its anchor row. Exposed
-/// for the parallel verifier (core::VerificationEngine), which gives every
-/// sample its own counter-based RNG stream.
+/// historical data). Returns the noised input and its anchor row.
 std::pair<std::vector<double>, std::size_t> sample_safe_occupied(
     const AugmentedSampler& sampler, const env::ComfortRange& comfort, Rng& rng);
 
@@ -114,7 +113,9 @@ std::pair<std::vector<double>, std::size_t> sample_safe_occupied(
 bool continuation_occupied(const Matrix& historical, std::size_t row, std::size_t offset,
                            std::size_t occupancy_dim);
 
-/// Criterion #1 via the efficient one-step estimator (§3.3.2).
+/// Forwards to VerificationEngine::verify_probabilistic on the shared pool,
+/// seeded by one draw from `rng`. Exists only for perfbench/, which calls
+/// this signature; everything else calls the engine with an explicit seed.
 ProbabilisticReport verify_probabilistic_one_step(const DtPolicy& policy,
                                                   const dyn::DynamicsModel& model,
                                                   const AugmentedSampler& sampler,

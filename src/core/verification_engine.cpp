@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -96,6 +97,64 @@ ProbabilisticReport VerificationEngine::verify_probabilistic(
   return report;
 }
 
+namespace {
+
+/// Flattens the (leaf × cell) grid: cell c of item l lands in the global
+/// slot offsets[l] + c, so images are computed in any schedule but folded
+/// in the serial path's exact order.
+std::vector<std::size_t> cell_offsets(const std::vector<IntervalWorkItem>& items) {
+  std::vector<std::size_t> offsets(items.size() + 1, 0);
+  for (std::size_t l = 0; l < items.size(); ++l) {
+    offsets[l + 1] = offsets[l] + items[l].cells.size();
+  }
+  return offsets;
+}
+
+std::vector<std::size_t> all_slots(std::size_t n) {
+  std::vector<std::size_t> slots(n);
+  std::iota(slots.begin(), slots.end(), std::size_t{0});
+  return slots;
+}
+
+/// The cell in global slot g.
+const Box& cell_at(const std::vector<IntervalWorkItem>& items,
+                   const std::vector<std::size_t>& offsets, std::size_t g) {
+  const auto next = std::upper_bound(offsets.begin(), offsets.end(), g);
+  const auto l = static_cast<std::size_t>(next - offsets.begin()) - 1;
+  return items[l].cells[g - offsets[l]];
+}
+
+/// Fills images[g] for every slot g in `slots` over the pool.
+void sweep_images(const common::TaskPool& pool, const dyn::DynamicsModel& model,
+                  const std::vector<IntervalWorkItem>& items,
+                  const std::vector<std::size_t>& offsets, const std::vector<std::size_t>& slots,
+                  std::vector<Interval>& images) {
+  std::vector<IntervalScratch> scratches(pool.thread_count());
+  pool.parallel_for(slots.size(), [&](std::size_t worker, std::size_t begin, std::size_t end) {
+    for (std::size_t m = begin; m < end; ++m) {
+      const Box& cell = cell_at(items, offsets, slots[m]);
+      images[slots[m]] = interval_next_state(model, cell, scratches[worker]);
+    }
+  });
+}
+
+/// The serial fold, leaf by leaf in item order.
+void fold_images(const std::vector<IntervalWorkItem>& items,
+                 const std::vector<std::size_t>& offsets, const std::vector<Interval>& images,
+                 const env::ComfortRange& comfort, IntervalReport& report) {
+  for (std::size_t l = 0; l < items.size(); ++l) {
+    const std::vector<Interval> leaf_images(
+        images.begin() + static_cast<std::ptrdiff_t>(offsets[l]),
+        images.begin() + static_cast<std::ptrdiff_t>(offsets[l + 1]));
+    ++report.leaves_subject;
+    IntervalLeafResult result = fold_interval_leaf(items[l], leaf_images, comfort);
+    if (result.certified) ++report.leaves_certified;
+    report.results.push_back(std::move(result));
+  }
+}
+
+}  // namespace
+
 IntervalReport VerificationEngine::verify_interval(const DtPolicy& policy,
                                                    const dyn::DynamicsModel& model,
                                                    const VerificationCriteria& criteria,
@@ -105,38 +164,10 @@ IntervalReport VerificationEngine::verify_interval(const DtPolicy& policy,
   IntervalReport report;
   const std::vector<IntervalWorkItem> items =
       interval_work_items(policy, criteria, bounds, config, report.leaves_total);
-
-  // Flatten the (leaf × cell) grid: cell c of leaf l lands in the global
-  // slot offsets[l] + c, so images are computed in any schedule but folded
-  // in the serial path's exact order.
-  std::vector<std::size_t> offsets(items.size() + 1, 0);
-  for (std::size_t l = 0; l < items.size(); ++l) {
-    offsets[l + 1] = offsets[l] + items[l].cells.size();
-  }
-  const std::size_t total_cells = offsets.back();
-  std::vector<Interval> images(total_cells);
-  std::vector<IntervalScratch> scratches(pool_->thread_count());
-  pool_->parallel_for(total_cells, [&](std::size_t worker, std::size_t begin, std::size_t end) {
-    IntervalScratch& scratch = scratches[worker];
-    // Locate the leaf containing `begin` once, then walk forward.
-    std::size_t leaf_idx = 0;
-    while (offsets[leaf_idx + 1] <= begin) ++leaf_idx;
-    for (std::size_t g = begin; g < end; ++g) {
-      while (offsets[leaf_idx + 1] <= g) ++leaf_idx;
-      const Box& cell = items[leaf_idx].cells[g - offsets[leaf_idx]];
-      images[g] = interval_next_state(model, cell, scratch);
-    }
-  });
-
-  std::vector<Interval> leaf_images;
-  for (std::size_t l = 0; l < items.size(); ++l) {
-    leaf_images.assign(images.begin() + static_cast<std::ptrdiff_t>(offsets[l]),
-                       images.begin() + static_cast<std::ptrdiff_t>(offsets[l + 1]));
-    ++report.leaves_subject;
-    IntervalLeafResult result = fold_interval_leaf(items[l], leaf_images, criteria.comfort);
-    if (result.certified) ++report.leaves_certified;
-    report.results.push_back(std::move(result));
-  }
+  const std::vector<std::size_t> offsets = cell_offsets(items);
+  std::vector<Interval> images(offsets.back());
+  sweep_images(*pool_, model, items, offsets, all_slots(images.size()), images);
+  fold_images(items, offsets, images, criteria.comfort, report);
   interval_runs_.fetch_add(1, std::memory_order_relaxed);
   obs_.interval_runs->add(1);
   return report;
@@ -151,11 +182,7 @@ IntervalReport VerificationEngine::verify_interval_incremental(
   IntervalReport report;
   const std::vector<IntervalWorkItem> items =
       interval_work_items(policy, criteria, bounds, config, report.leaves_total);
-
-  std::vector<std::size_t> offsets(items.size() + 1, 0);
-  for (std::size_t l = 0; l < items.size(); ++l) {
-    offsets[l + 1] = offsets[l] + items[l].cells.size();
-  }
+  const std::vector<std::size_t> offsets = cell_offsets(items);
   const std::size_t total_cells = offsets.back();
 
   RecertStats stats;
@@ -190,47 +217,17 @@ IntervalReport VerificationEngine::verify_interval_incremental(
   stats.fallback_full =
       total_cells > 0 && static_cast<double>(missing.size()) >
                              recert.fallback_fraction * static_cast<double>(total_cells);
-  if (stats.fallback_full) {
-    missing.resize(total_cells);
-    for (std::size_t g = 0; g < total_cells; ++g) missing[g] = g;
-  }
+  if (stats.fallback_full) missing = all_slots(total_cells);
   stats.cells_computed = missing.size();
   stats.cells_cached = total_cells - missing.size();
 
-  std::vector<IntervalScratch> scratches(pool_->thread_count());
-  pool_->parallel_for(missing.size(), [&](std::size_t worker, std::size_t begin,
-                                          std::size_t end) {
-    IntervalScratch& scratch = scratches[worker];
-    // `missing` ascends, so the containing leaf only moves forward.
-    std::size_t leaf_idx = 0;
-    while (offsets[leaf_idx + 1] <= missing[begin]) ++leaf_idx;
-    for (std::size_t m = begin; m < end; ++m) {
-      const std::size_t g = missing[m];
-      while (offsets[leaf_idx + 1] <= g) ++leaf_idx;
-      const Box& cell = items[leaf_idx].cells[g - offsets[leaf_idx]];
-      images[g] = interval_next_state(model, cell, scratch);
-    }
-  });
+  sweep_images(*pool_, model, items, offsets, missing, images);
 
-  // Serial insert pass (single-writer cache), then the unchanged fold.
-  {
-    std::size_t leaf_idx = 0;
-    for (const std::size_t g : missing) {
-      while (offsets[leaf_idx + 1] <= g) ++leaf_idx;
-      cache.insert(CertificateKey{dyn_hash, items[leaf_idx].cells[g - offsets[leaf_idx]]},
-                   images[g]);
-    }
+  // Serial insert pass (single-writer cache), then the fold.
+  for (const std::size_t g : missing) {
+    cache.insert(CertificateKey{dyn_hash, cell_at(items, offsets, g)}, images[g]);
   }
-
-  std::vector<Interval> leaf_images;
-  for (std::size_t l = 0; l < items.size(); ++l) {
-    leaf_images.assign(images.begin() + static_cast<std::ptrdiff_t>(offsets[l]),
-                       images.begin() + static_cast<std::ptrdiff_t>(offsets[l + 1]));
-    ++report.leaves_subject;
-    IntervalLeafResult result = fold_interval_leaf(items[l], leaf_images, criteria.comfort);
-    if (result.certified) ++report.leaves_certified;
-    report.results.push_back(std::move(result));
-  }
+  fold_images(items, offsets, images, criteria.comfort, report);
   cache.note_certified(policy, dyn_hash);
 
   incremental_runs_.fetch_add(1, std::memory_order_relaxed);

@@ -17,10 +17,10 @@
 // this additionally requires decoupling the RNG from the schedule: sample
 // i draws from its own counter-based stream Rng::stream(seed, i) instead
 // of a single shared sequence, so the estimate depends only on (seed, i)
-// — never on which worker ran the sample. The per-stream estimator is
-// statistically equivalent to verify_probabilistic_one_step but consumes
-// a different random sequence, so its numbers differ from the serial
-// single-stream entry point while remaining reproducible from the seed.
+// — never on which worker ran the sample. verify_probabilistic is the
+// repo's one criterion-#1 estimator: the pipeline, refit, the CLI, the
+// campaign and the adaptation certify step all call it, and a pool of one
+// thread is its serial path.
 #pragma once
 
 #include <atomic>
@@ -49,11 +49,9 @@ class VerificationEngine {
   /// Criterion #1 Monte-Carlo over per-sample RNG streams: sample i runs
   /// its rejection loop (safe occupied input with an occupied
   /// continuation) entirely inside Rng::stream(seed, i) and contributes
-  /// one accept to the estimate. Bit-identical across thread counts.
-  /// Since PR 3 each worker stages its slice's accepted inputs as one
-  /// batch matrix and advances them with a single batched forward
-  /// (dyn::DynamicsModel::predict_batch_into); the draws and the report
-  /// are unchanged to the last bit.
+  /// one accept to the estimate. Bit-identical across thread counts. Each
+  /// worker advances its slice's accepted inputs with one batched forward
+  /// (dyn::DynamicsModel::predict_batch_into).
   ProbabilisticReport verify_probabilistic(const DtPolicy& policy,
                                            const dyn::DynamicsModel& model,
                                            const AugmentedSampler& sampler,

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "core/verification_engine.hpp"
+
 namespace verihvac::core {
 namespace {
 
@@ -58,6 +62,27 @@ TEST_F(PipelineTest, ProbabilisticReportIsPopulated) {
   EXPECT_EQ(p.samples, 300u);
   EXPECT_GE(p.safe_probability, 0.0);
   EXPECT_LE(p.safe_probability, 1.0);
+}
+
+TEST_F(PipelineTest, CriterionOneIsTheEngineEstimate) {
+  // run_pipeline and refit_policy certify criterion #1 through the one
+  // estimator: their reports equal VerificationEngine's on the same
+  // (policy, model, sampler, seed) at every pool width.
+  const PipelineArtifacts refit = refit_policy(artifacts(), 30);
+  for (const PipelineArtifacts* a : {&artifacts(), &refit}) {
+    const DecisionDataGenerator sampler_source(a->historical, a->config.decision);
+    for (std::size_t threads : {1u, 4u}) {
+      const VerificationEngine engine(std::make_shared<const common::TaskPool>(
+          common::TaskPoolConfig{threads, /*min_parallel_batch=*/1}));
+      const ProbabilisticReport expected = engine.verify_probabilistic(
+          *a->policy, *a->model, sampler_source.sampler(), a->config.criteria,
+          a->config.probabilistic_samples, a->config.verification_seed);
+      EXPECT_EQ(a->probabilistic.samples, expected.samples) << threads << " threads";
+      EXPECT_EQ(a->probabilistic.failures, expected.failures) << threads << " threads";
+      EXPECT_EQ(a->probabilistic.safe_probability, expected.safe_probability)
+          << threads << " threads";
+    }
+  }
 }
 
 TEST_F(PipelineTest, TreeSizeBookkeepingConsistent) {

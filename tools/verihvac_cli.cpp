@@ -39,6 +39,7 @@
 // The formats are the library's own (core/policy_io bundles,
 // core/edge_export C modules), so artifacts interoperate with the
 // examples and benches.
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -58,7 +59,7 @@
 #include "core/interpret.hpp"
 #include "core/pipeline.hpp"
 #include "core/policy_io.hpp"
-#include "core/verification.hpp"
+#include "core/verification_engine.hpp"
 #include "envlib/env.hpp"
 #include "envlib/feature_schema.hpp"
 #include "envlib/metrics.hpp"
@@ -119,24 +120,34 @@ class Args {
     const auto it = values_.find(key);
     return it == values_.end() || it->second.empty() ? fallback : it->second;
   }
-  long get_long(const std::string& key, long fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() || it->second.empty() ? fallback : std::stol(it->second);
+  /// Non-negative integer option (sizes, counts, seeds).
+  std::size_t get_count(const std::string& key, std::size_t fallback) const {
+    return number<std::size_t>(key, fallback, "a non-negative count");
   }
   double get_double(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() || it->second.empty() ? fallback : std::stod(it->second);
+    return number<double>(key, fallback, "a number");
   }
   bool flag(const std::string& key) const { return values_.count(key) > 0; }
 
  private:
+  /// The whole value must parse: "40abc", and "-5" for a count, fail with
+  /// an error naming the option.
+  template <typename T>
+  T number(const std::string& key, T fallback, const char* what) const {
+    const std::string text = get(key, "");
+    if (text.empty()) return fallback;
+    T value{};
+    const auto [end, error] = std::from_chars(text.data(), text.data() + text.size(), value);
+    if (error == std::errc() && end == text.data() + text.size()) return value;
+    throw std::invalid_argument("option --" + key + " expects " + what + ", got '" + text + "'");
+  }
+
   std::map<std::string, std::string> values_;
 };
 
 int cmd_extract(const Args& args) {
   core::PipelineConfig config = core::PipelineConfig::for_city(args.get("city", "Pittsburgh"));
-  config.decision_points =
-      static_cast<std::size_t>(args.get_long("points", static_cast<long>(config.decision_points)));
+  config.decision_points = args.get_count("points", config.decision_points);
   const std::string out = args.required("out");
 
   const core::PipelineArtifacts artifacts = core::run_pipeline(config);
@@ -147,8 +158,9 @@ int cmd_extract(const Args& args) {
               artifacts.policy->tree().depth());
   std::printf("  Algorithm 1 corrections: #2=%zu #3=%zu\n", artifacts.formal.corrected_crit2,
               artifacts.formal.corrected_crit3);
-  std::printf("  criterion #1 safe probability: %.3f (%zu samples)\n",
-              artifacts.probabilistic.safe_probability, artifacts.probabilistic.samples);
+  std::printf("  criterion #1 safe probability: %.4f (%zu/%zu failed)\n",
+              artifacts.probabilistic.safe_probability, artifacts.probabilistic.failures,
+              artifacts.probabilistic.samples);
   std::printf("  bundle written to %s\n", out.c_str());
   return 0;
 }
@@ -174,13 +186,14 @@ int cmd_verify(const Args& args) {
         dyn::collect_historical_data(config.env, config.collection);
     dyn::DynamicsModel model(config.model);
     model.train(historical);
-    core::DecisionDataGenerator generator(historical, config.decision);
-    Rng rng(config.verification_seed);
-    const core::ProbabilisticReport prob = core::verify_probabilistic_one_step(
-        policy, model, generator.sampler(), criteria, config.probabilistic_samples, rng);
-    std::printf("criterion #1 (probabilistic, %s): safe probability %.3f -> %s\n",
-                config.city.c_str(), prob.safe_probability,
-                prob.passes(criteria) ? "PASS" : "FAIL");
+    const core::DecisionDataGenerator generator(historical, config.decision);
+    const core::ProbabilisticReport prob = core::VerificationEngine().verify_probabilistic(
+        policy, model, generator.sampler(), criteria, config.probabilistic_samples,
+        config.verification_seed);
+    std::printf(
+        "criterion #1 (probabilistic, %s): safe probability %.4f (%zu/%zu failed) -> %s\n",
+        config.city.c_str(), prob.safe_probability, prob.failures, prob.samples,
+        prob.passes(criteria) ? "PASS" : "FAIL");
   }
   if (correct && args.flag("out")) {
     core::save_policy(policy, args.required("out"));
@@ -303,12 +316,10 @@ int cmd_campaign(const Args& args) {
     }
   }
 
-  config.probabilistic_samples = static_cast<std::size_t>(
-      args.get_long("samples", static_cast<long>(config.probabilistic_samples)));
-  config.reach_states = static_cast<std::size_t>(
-      args.get_long("reach-states", static_cast<long>(config.reach_states)));
-  config.decision_points = static_cast<std::size_t>(args.get_long("points", 0));
-  config.seed = static_cast<std::uint64_t>(args.get_long("seed", 404));
+  config.probabilistic_samples = args.get_count("samples", config.probabilistic_samples);
+  config.reach_states = args.get_count("reach-states", config.reach_states);
+  config.decision_points = args.get_count("points", 0);
+  config.seed = args.get_count("seed", 404);
   config.incremental_recert = parse_recert_incremental(args, config.incremental_recert);
 
   const core::VerificationEngine engine;  // shared VERI_HVAC_THREADS pool
@@ -331,7 +342,7 @@ int cmd_campaign(const Args& args) {
 int cmd_simulate(const Args& args) {
   core::DtPolicy policy = core::load_policy(args.required("policy"));
   core::PipelineConfig config = core::PipelineConfig::for_city(args.get("city", "Pittsburgh"));
-  config.env.days = static_cast<int>(args.get_long("days", config.env.days));
+  config.env.days = static_cast<int>(args.get_count("days", config.env.days));
 
   env::BuildingEnv building(config.env);
   env::EpisodeMetrics dt_metrics;
@@ -369,18 +380,18 @@ int cmd_serve_bench(const Args& args) {
   serve::FleetConfig config;
   config.climates = split_csv_list(args.get("climates", "Pittsburgh"));
   config.presets = parse_presets<serve::FleetPreset>(args.get("presets", "baseline"));
-  config.buildings_per_cell = static_cast<std::size_t>(args.get_long("buildings", 8));
-  config.steps = static_cast<std::size_t>(args.get_long("steps", 12));
+  config.buildings_per_cell = args.get_count("buildings", 8);
+  config.steps = args.get_count("steps", 12);
   config.mbrl_fraction = args.get_double("mbrl-frac", 0.25);
-  config.days = static_cast<int>(args.get_long("days", 2));
-  config.seed = static_cast<std::uint64_t>(args.get_long("seed", 2024));
-  config.rs.samples = static_cast<std::size_t>(args.get_long("samples", 64));
-  config.rs.horizon = static_cast<std::size_t>(args.get_long("horizon", 5));
+  config.days = static_cast<int>(args.get_count("days", 2));
+  config.seed = args.get_count("seed", 2024);
+  config.rs.samples = args.get_count("samples", 64);
+  config.rs.horizon = args.get_count("horizon", 5);
   config.async = !args.flag("sync");
   // SLO knobs: per-request MBRL latency budget (0 = window-only batching)
   // and MBRL queue shard override (0 = align to the session manager).
-  config.mbrl_latency_budget = std::chrono::microseconds(args.get_long("budget-us", 0));
-  config.scheduler.queue_shards = static_cast<std::size_t>(args.get_long("queue-shards", 0));
+  config.mbrl_latency_budget = std::chrono::microseconds(args.get_count("budget-us", 0));
+  config.scheduler.queue_shards = args.get_count("queue-shards", 0);
 
   // Per-cell serving assets from the extraction pipeline, cached by
   // (climate x hvac scale): presets only differ in plant sizing.
@@ -428,16 +439,16 @@ int cmd_adapt_bench(const Args& args) {
   serve::FleetConfig config;
   config.climates = {city};
   config.presets = {{"baseline", 1.0}};
-  config.buildings_per_cell = static_cast<std::size_t>(args.get_long("buildings", 6));
-  config.steps = static_cast<std::size_t>(args.get_long("steps", 96));
+  config.buildings_per_cell = args.get_count("buildings", 6);
+  config.steps = args.get_count("steps", 96);
   config.mbrl_fraction = args.get_double("mbrl-frac", 0.25);
-  config.days = static_cast<int>(args.get_long("days", 2));
-  config.seed = static_cast<std::uint64_t>(args.get_long("seed", 2024));
-  config.rs.samples = static_cast<std::size_t>(args.get_long("samples", 32));
-  config.rs.horizon = static_cast<std::size_t>(args.get_long("horizon", 5));
+  config.days = static_cast<int>(args.get_count("days", 2));
+  config.seed = args.get_count("seed", 2024);
+  config.rs.samples = args.get_count("samples", 32);
+  config.rs.horizon = args.get_count("horizon", 5);
 
   serve::FleetDriftEvent drift;
-  drift.at_step = static_cast<std::size_t>(args.get_long("drift-step", 32));
+  drift.at_step = args.get_count("drift-step", 32);
   drift.degradation.hvac_capacity_factor = args.get_double("hvac-factor", 0.55);
   drift.degradation.heating_efficiency_factor = args.get_double("eff-factor", 0.85);
   drift.degradation.envelope_leak_factor = args.get_double("leak-factor", 1.3);
@@ -456,8 +467,7 @@ int cmd_adapt_bench(const Args& args) {
   if (args.flag("telemetry-dir")) {
     adapt::TelemetryStoreConfig store_config;
     store_config.directory = args.required("telemetry-dir");
-    store_config.segment_max_bytes =
-        static_cast<std::uint64_t>(args.get_long("segment-bytes", 4ll << 20));
+    store_config.segment_max_bytes = args.get_count("segment-bytes", 4u << 20);
     store_config.start_writer = false;
     store = std::make_shared<adapt::TelemetryStore>(log, store_config);
   }
@@ -482,7 +492,7 @@ int cmd_adapt_bench(const Args& args) {
   adaptation.drift.ph_delta = args.get_double("ph-delta", 0.02);
   adaptation.drift.ph_lambda = args.get_double("ph-lambda", 2.0);
   adaptation.drift.min_samples = 48;
-  adaptation.min_transitions = static_cast<std::size_t>(args.get_long("min-transitions", 60));
+  adaptation.min_transitions = args.get_count("min-transitions", 60);
   adaptation.criteria = pipeline.criteria;
   adaptation.criteria.safe_probability_threshold = args.get_double("safe-threshold", 0.75);
   adaptation.probabilistic_samples = pipeline.probabilistic_samples / 4;
@@ -591,8 +601,8 @@ int cmd_stats(const Args& args) {
 // adapt-bench.
 bool build_replay_assets(const Args& args, adapt::ReplayAssets& assets,
                          adapt::ReplayConfig& config) {
-  config.rs.samples = static_cast<std::size_t>(args.get_long("samples", 32));
-  config.rs.horizon = static_cast<std::size_t>(args.get_long("horizon", 5));
+  config.rs.samples = args.get_count("samples", 32);
+  config.rs.horizon = args.get_count("horizon", 5);
   if (args.flag("city")) {
     const std::string city = args.required("city");
     std::printf("extracting replay assets for %s...\n", city.c_str());
@@ -603,7 +613,7 @@ bool build_replay_assets(const Args& args, adapt::ReplayAssets& assets,
     assets.models[1] = artifacts.model;
   }
   if (args.flag("policy")) {
-    const auto version = static_cast<std::uint64_t>(args.get_long("policy-version", 1));
+    const std::uint64_t version = args.get_count("policy-version", 1);
     assets.policies[version] =
         std::make_shared<core::DtPolicy>(core::load_policy(args.required("policy")));
   }
@@ -671,7 +681,7 @@ int cmd_trace_dump(const Args& args) {
                 trace.records.size(), path.c_str());
     return 0;
   }
-  const auto limit = static_cast<std::size_t>(args.get_long("limit", 20));
+  const std::size_t limit = args.get_count("limit", 20);
   std::printf("%zu session(s), %zu record(s)\n", trace.sessions.size(), trace.records.size());
   for (std::size_t i = 0; i < trace.records.size() && i < limit; ++i) {
     const adapt::TelemetryRecord& r = trace.records[i];
