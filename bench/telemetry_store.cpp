@@ -39,7 +39,6 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -125,9 +124,9 @@ struct Stack {
 /// A record's exact wire bytes (the trace/segment serialization) — the
 /// identity the byte-for-byte gates compare, with no struct-padding noise.
 std::string record_bytes(const adapt::TelemetryRecord& record) {
-  std::ostringstream out;
-  adapt::detail::write_record(out, record);
-  return out.str();
+  std::string out;
+  adapt::detail::append_record(out, record);
+  return out;
 }
 
 bool records_identical(const std::vector<adapt::TelemetryRecord>& a,

@@ -4,7 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <map>
+#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -129,17 +129,11 @@ SegmentHeader read_header_stream(std::istream& in, const std::string& path) {
     throw std::runtime_error("telemetry segment: unsupported format version " +
                              std::to_string(h.format_version) + " in " + path);
   }
-  if (h.trace_version != 1 && h.trace_version != kTelemetryTraceVersion) {
+  if (h.trace_version != kTelemetryTraceVersion) {
     throw std::runtime_error("telemetry segment: unsupported trace version " +
                              std::to_string(h.trace_version) + " in " + path);
   }
   return h;
-}
-
-std::string segment_basename(std::uint64_t base_seq) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "seg-%016llx", static_cast<unsigned long long>(base_seq));
-  return std::string(buf);
 }
 
 bool ends_with(const std::string& s, const std::string& suffix) {
@@ -160,36 +154,12 @@ std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t value) {
   return h;
 }
 
-/// One frame, serialized: [type u8 | body_len u32 | body_crc u32 | body].
-std::string make_frame(std::uint8_t type, const std::string& body) {
-  std::ostringstream out(std::ios::binary);
-  write_pod<std::uint8_t>(out, type);
-  write_pod<std::uint32_t>(out, static_cast<std::uint32_t>(body.size()));
-  write_pod<std::uint32_t>(out, common::crc32(body.data(), body.size()));
-  out.write(body.data(), static_cast<std::streamsize>(body.size()));
-  return out.str();
-}
-
 inline constexpr std::size_t kFrameHeaderBytes = 9;  // type + body_len + body_crc
 
-/// Folds one frame header into the segment's rolling payload CRC. The
-/// payload CRC seals frame headers only; each body is covered by the
-/// body_crc embedded in its header, so corruption anywhere in the payload
-/// still lands on exactly one failed check.
-std::uint32_t chain_frame_header(std::uint32_t crc, std::uint8_t type, std::uint32_t body_len,
-                                 std::uint32_t body_crc) {
-  unsigned char hdr[kFrameHeaderBytes];
-  hdr[0] = type;
-  std::memcpy(hdr + 1, &body_len, sizeof body_len);
-  std::memcpy(hdr + 1 + sizeof body_len, &body_crc, sizeof body_crc);
-  return common::crc32_update(crc, hdr, sizeof hdr);
-}
-
-/// Builds one frame in place in `out` (reused across calls): reserves the
-/// frame header, appends the body through `append_body` (one of the
-/// detail::append_* writers), then patches type/len/crc. Byte-identical to
-/// make_frame — the writer fast path and the cold readers share one wire
-/// format.
+/// Builds one frame, [type u8 | body_len u32 | body_crc u32 | body], in
+/// place in `out` (reused across calls): reserves the frame header,
+/// appends the body through `append_body` (one of the detail::append_*
+/// writers), then patches type/len/crc.
 template <typename AppendBody>
 void build_frame(std::string& out, std::uint8_t type, AppendBody&& append_body) {
   out.clear();
@@ -202,7 +172,9 @@ void build_frame(std::string& out, std::uint8_t type, AppendBody&& append_body) 
   std::memcpy(&out[1 + sizeof body_len], &body_crc, sizeof body_crc);
 }
 
-/// Accumulates the header bookkeeping a writer/scanner needs per record.
+/// The header bookkeeping of one payload. The active segment, write_segment,
+/// crash recovery and the readers all keep one, so a sealed header means
+/// the same thing however it was produced.
 struct PayloadTally {
   std::uint64_t records = 0;
   std::uint64_t sessions = 0;
@@ -210,8 +182,21 @@ struct PayloadTally {
   std::uint64_t session_max = 0;
   std::uint64_t decision_min = UINT64_MAX;
   std::uint64_t decision_max = 0;
-  std::set<std::uint64_t> schema_pairs;
+  std::set<std::uint64_t> schema_pairs;  ///< (obs_len<<16)|zone_temp_dim
+  std::uint64_t last_schema_pair = UINT64_MAX;
   std::uint64_t replay_fp = kReplayFingerprintSeed;
+  std::uint64_t payload_bytes = 0;
+  /// Chained over every frame header only; each body is covered by the
+  /// body_crc embedded in its header, so corruption anywhere in the
+  /// payload still lands on exactly one failed check.
+  std::uint32_t payload_crc = 0;
+
+  /// Folds one whole frame (`frame_bytes` long, starting with its
+  /// kFrameHeaderBytes header) into the payload CRC and size.
+  void add_frame(const char* frame_header, std::size_t frame_bytes) {
+    payload_crc = common::crc32_update(payload_crc, frame_header, kFrameHeaderBytes);
+    payload_bytes += frame_bytes;
+  }
 
   void add_record(const TelemetryRecord& r) {
     ++records;
@@ -219,7 +204,11 @@ struct PayloadTally {
     session_max = std::max(session_max, static_cast<std::uint64_t>(r.session));
     decision_min = std::min(decision_min, r.decision_index);
     decision_max = std::max(decision_max, r.decision_index);
-    schema_pairs.insert((static_cast<std::uint64_t>(r.obs_len) << 16) | r.zone_temp_dim);
+    const std::uint64_t pair = (static_cast<std::uint64_t>(r.obs_len) << 16) | r.zone_temp_dim;
+    if (pair != last_schema_pair) {  // one tree probe per schema change, not per record
+      schema_pairs.insert(pair);
+      last_schema_pair = pair;
+    }
     replay_fp = replay_fingerprint_update(replay_fp, r, r.action_index);
   }
 
@@ -229,7 +218,10 @@ struct PayloadTally {
     return h;
   }
 
-  void fill(SegmentHeader& h) const {
+  /// Finalizes `h` over this payload; base_seq and the steady-clock
+  /// instants stay the caller's.
+  void seal(SegmentHeader& h) const {
+    h.sealed = 1;
     h.record_count = records;
     h.session_count = sessions;
     h.session_min = records > 0 ? session_min : 0;
@@ -237,57 +229,79 @@ struct PayloadTally {
     h.decision_min = records > 0 ? decision_min : 0;
     h.decision_max = decision_max;
     h.schema_fingerprint = schema_fingerprint();
+    h.payload_bytes = payload_bytes;
+    h.payload_crc = payload_crc;
     h.replay_fingerprint = replay_fp;
   }
 };
 
+/// Frames one session/record, writes it to `out` and folds it into
+/// `tally`: the one append path of the active segment and write_segment.
+/// `frame` is reused scratch; returns the frame's size in bytes.
+std::size_t put_session_frame(std::ostream& out, std::string& frame, PayloadTally& tally,
+                              const TelemetrySession& session) {
+  build_frame(frame, kFrameSession,
+              [&session](std::string& body) { detail::append_session(body, session); });
+  out.write(frame.data(), static_cast<std::streamsize>(frame.size()));
+  tally.add_frame(frame.data(), frame.size());
+  ++tally.sessions;
+  return frame.size();
+}
+
+std::size_t put_record_frame(std::ostream& out, std::string& frame, PayloadTally& tally,
+                             const TelemetryRecord& record) {
+  build_frame(frame, kFrameRecord,
+              [&record](std::string& body) { detail::append_record(body, record); });
+  out.write(frame.data(), static_cast<std::streamsize>(frame.size()));
+  tally.add_frame(frame.data(), frame.size());
+  tally.add_record(record);
+  return frame.size();
+}
+
 struct ScannedPayload {
-  PayloadTally tally;
-  std::uint64_t good_bytes = 0;  ///< offset past the last whole frame
-  std::uint32_t crc = 0;         ///< rolling CRC over the good bytes
-  bool torn_tail = false;        ///< trailing bytes did not form a frame
+  PayloadTally tally;      ///< over the whole frames before any torn tail
+  bool torn_tail = false;  ///< trailing bytes did not form a frame
   std::vector<TelemetrySession> sessions;
   std::vector<TelemetryRecord> records;  ///< filled only when keep_payload
 };
 
-/// Frame-by-frame scan from the current stream position. Stops (without
-/// throwing) at the first torn/invalid frame; structural readers treat a
-/// torn tail as an error, recovery treats it as the trim point.
-ScannedPayload scan_payload(std::istream& in, std::uint32_t trace_version, bool keep_payload) {
+/// Frame-by-frame scan from the current stream position: the one frame
+/// parser. Stops (without throwing) at the first torn/invalid frame;
+/// structural readers treat a torn tail as an error, recovery treats it as
+/// the trim point.
+ScannedPayload scan_payload(std::istream& in, bool keep_payload) {
   ScannedPayload out;
+  std::string body;
   while (true) {
-    std::uint8_t type = 0;
-    if (!in.read(reinterpret_cast<char*>(&type), 1)) break;  // clean EOF
-    std::uint32_t body_len = 0;
-    std::uint32_t body_crc = 0;
-    if (!in.read(reinterpret_cast<char*>(&body_len), 4) ||
-        !in.read(reinterpret_cast<char*>(&body_crc), 4)) {
+    char frame_header[kFrameHeaderBytes];
+    if (!in.read(frame_header, 1)) break;  // clean EOF
+    if (!in.read(frame_header + 1, kFrameHeaderBytes - 1)) {
       out.torn_tail = true;
       break;
     }
+    const auto type = static_cast<std::uint8_t>(frame_header[0]);
+    std::uint32_t body_len = 0;
+    std::uint32_t body_crc = 0;
+    std::memcpy(&body_len, frame_header + 1, sizeof body_len);
+    std::memcpy(&body_crc, frame_header + 1 + sizeof body_len, sizeof body_crc);
     if ((type != kFrameSession && type != kFrameRecord) || body_len > kMaxFrameBody) {
       out.torn_tail = true;
       break;
     }
-    std::string body(body_len, '\0');
-    if (!in.read(body.data(), static_cast<std::streamsize>(body_len))) {
+    body.resize(body_len);
+    if (!in.read(body.data(), static_cast<std::streamsize>(body_len)) ||
+        common::crc32(body.data(), body.size()) != body_crc) {
       out.torn_tail = true;
       break;
     }
-    if (common::crc32(body.data(), body.size()) != body_crc) {
-      out.torn_tail = true;
-      break;
-    }
-    std::istringstream body_in(body, std::ios::binary);
     try {
       if (type == kFrameRecord) {
-        TelemetryRecord record = detail::read_record(body_in, trace_version);
+        const TelemetryRecord record = detail::read_record(body);
         out.tally.add_record(record);
         if (keep_payload) out.records.push_back(record);
       } else {
-        TelemetrySession session = detail::read_session(body_in);
+        out.sessions.push_back(detail::read_session(body));
         ++out.tally.sessions;
-        out.sessions.push_back(std::move(session));
       }
     } catch (const std::runtime_error&) {
       // CRC held but the body does not parse as its frame type — torn by
@@ -295,8 +309,7 @@ ScannedPayload scan_payload(std::istream& in, std::uint32_t trace_version, bool 
       out.torn_tail = true;
       break;
     }
-    out.crc = chain_frame_header(out.crc, type, body_len, body_crc);
-    out.good_bytes += kFrameHeaderBytes + body_len;
+    out.tally.add_frame(frame_header, kFrameHeaderBytes + body_len);
   }
   return out;
 }
@@ -313,6 +326,14 @@ std::uint64_t replay_fingerprint_update(std::uint64_t h, const TelemetryRecord& 
 
 // ---------------------------------------------------------------------------
 // TelemetryStore
+
+struct TelemetryStore::ActiveSegment {
+  std::string path;  ///< the `.open` file
+  std::ofstream file;
+  SegmentHeader header;  ///< base_seq + open instant; the rest comes from `tally` at seal
+  PayloadTally tally;
+  std::chrono::steady_clock::time_point opened_at;
+};
 
 TelemetryStore::TelemetryStore(std::shared_ptr<TelemetryLog> log, TelemetryStoreConfig config)
     : log_(std::move(log)),
@@ -459,7 +480,7 @@ void TelemetryStore::recover_open_segments() {
       std::ifstream in(path, std::ios::binary);
       if (!in) throw std::runtime_error("telemetry segment: cannot read " + path);
       header = read_header_stream(in, path);
-      scanned = scan_payload(in, header.trace_version, /*keep_payload=*/false);
+      scanned = scan_payload(in, /*keep_payload=*/false);
     } catch (const std::runtime_error& error) {
       // Even the header is torn: nothing recoverable. Quarantine rather
       // than delete so the operator can inspect; readers ignore .corrupt.
@@ -474,7 +495,7 @@ void TelemetryStore::recover_open_segments() {
     }
 
     const std::uint64_t file_size = fs::file_size(path);
-    const std::uint64_t good_size = kSegmentHeaderBytes + scanned.good_bytes;
+    const std::uint64_t good_size = kSegmentHeaderBytes + scanned.tally.payload_bytes;
     const bool trimmed = file_size > good_size;
     const std::uint64_t torn_bytes = trimmed ? file_size - good_size : 0;
     if (scanned.tally.records == 0 && scanned.tally.sessions == 0) {
@@ -508,10 +529,7 @@ void TelemetryStore::recover_open_segments() {
 
     // Seal in place: final header over the surviving payload, then drop
     // the .open suffix. next_seq_ advances past the recovered records.
-    scanned.tally.fill(header);
-    header.sealed = 1;
-    header.payload_bytes = scanned.good_bytes;
-    header.payload_crc = scanned.crc;
+    scanned.tally.seal(header);
     if (header.close_steady_ns == 0) header.close_steady_ns = header.open_steady_ns;
     {
       std::fstream out(path, std::ios::binary | std::ios::in | std::ios::out);
@@ -529,9 +547,8 @@ void TelemetryStore::open_segment() {
   auto active = std::make_unique<ActiveSegment>();
   active->header.base_seq = next_seq_;
   active->header.open_steady_ns = steady_ns();
-  active->header.replay_fingerprint = kReplayFingerprintSeed;
   active->opened_at = std::chrono::steady_clock::now();
-  active->path = (fs::path(config_.directory) / (segment_basename(next_seq_) + kOpenSuffix)).string();
+  active->path = (fs::path(config_.directory) / (segment_file_name(next_seq_) + ".open")).string();
   active->file.open(active->path, std::ios::binary | std::ios::trunc);
   if (!active->file) {
     throw std::runtime_error("TelemetryStore: cannot create " + active->path);
@@ -549,52 +566,21 @@ void TelemetryStore::open_segment() {
 
 void TelemetryStore::append_session_frame(const TelemetrySession& session) {
   if (session_ids_in_active_.count(session.id) > 0) return;
-  std::string& frame = frame_buffer_;
-  build_frame(frame, kFrameSession,
-              [&session](std::string& body) { detail::append_session(body, session); });
-  active_->file.write(frame.data(), static_cast<std::streamsize>(frame.size()));
-  active_->crc = common::crc32_update(active_->crc, frame.data(), kFrameHeaderBytes);
-  active_->header.payload_bytes += frame.size();
-  ++active_->header.session_count;
+  const std::size_t bytes =
+      put_session_frame(active_->file, frame_buffer_, active_->tally, session);
   session_ids_in_active_.insert(session.id);
-  stats_.bytes_written += frame.size();
-  obs_.bytes->add(frame.size());
+  stats_.bytes_written += bytes;
+  obs_.bytes->add(bytes);
 }
 
 void TelemetryStore::append_record_frame(const TelemetryRecord& record) {
-  std::string& frame = frame_buffer_;
-  build_frame(frame, kFrameRecord,
-              [&record](std::string& body) { detail::append_record(body, record); });
-  active_->file.write(frame.data(), static_cast<std::streamsize>(frame.size()));
-  active_->crc = common::crc32_update(active_->crc, frame.data(), kFrameHeaderBytes);
-
-  SegmentHeader& h = active_->header;
-  h.payload_bytes += frame.size();
-  if (h.record_count == 0) {
-    h.session_min = record.session;
-    h.session_max = record.session;
-    h.decision_min = record.decision_index;
-    h.decision_max = record.decision_index;
-  } else {
-    h.session_min = std::min(h.session_min, static_cast<std::uint64_t>(record.session));
-    h.session_max = std::max(h.session_max, static_cast<std::uint64_t>(record.session));
-    h.decision_min = std::min(h.decision_min, record.decision_index);
-    h.decision_max = std::max(h.decision_max, record.decision_index);
-  }
-  ++h.record_count;
-  h.replay_fingerprint = replay_fingerprint_update(h.replay_fingerprint, record, record.action_index);
-  const std::uint64_t pair =
-      (static_cast<std::uint64_t>(record.obs_len) << 16) | record.zone_temp_dim;
-  if (pair != active_->last_schema_pair) {  // one tree probe per schema change, not per record
-    active_->schema_pairs.insert(pair);
-    active_->last_schema_pair = pair;
-  }
+  const std::size_t bytes = put_record_frame(active_->file, frame_buffer_, active_->tally, record);
   ++next_seq_;
   ++stats_.records_persisted;
-  stats_.bytes_written += frame.size();
+  stats_.bytes_written += bytes;
   // Counter publication is batched per pump (pump_once), not per record.
   pending_obs_records_ += 1;
-  pending_obs_bytes_ += frame.size();
+  pending_obs_bytes_ += bytes;
 }
 
 void TelemetryStore::seal_active_locked() {
@@ -602,14 +588,8 @@ void TelemetryStore::seal_active_locked() {
   obs::TraceSpan span("telemetry.rotate", "telemetry");
 
   SegmentHeader& h = active_->header;
-  h.sealed = 1;
+  active_->tally.seal(h);
   h.close_steady_ns = steady_ns();
-  h.payload_crc = active_->crc;
-  std::uint64_t schema_fp = kReplayFingerprintSeed;
-  for (const std::uint64_t pair : active_->schema_pairs) schema_fp = fnv_mix(schema_fp, pair);
-  h.schema_fingerprint = schema_fp;
-  if (h.record_count == 0) h.replay_fingerprint = kReplayFingerprintSeed;
-
   active_->file.seekp(0);
   write_header_at_start(active_->file, h);
   active_->file.flush();
@@ -628,11 +608,14 @@ void TelemetryStore::seal_active_locked() {
 
 void TelemetryStore::maybe_rotate_locked() {
   if (active_ == nullptr) return;
-  const SegmentHeader& h = active_->header;
+  const PayloadTally& tally = active_->tally;
   bool rotate = false;
-  if (config_.segment_max_bytes > 0 && h.payload_bytes >= config_.segment_max_bytes) rotate = true;
-  if (config_.segment_max_records > 0 && h.record_count >= config_.segment_max_records)
+  if (config_.segment_max_bytes > 0 && tally.payload_bytes >= config_.segment_max_bytes) {
     rotate = true;
+  }
+  if (config_.segment_max_records > 0 && tally.records >= config_.segment_max_records) {
+    rotate = true;
+  }
   if (config_.segment_max_seconds > 0.0) {
     const double age =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - active_->opened_at)
@@ -809,65 +792,25 @@ bool TelemetryStore::compact_locked() {
   // sessions' records and session frames.
   TelemetryTrace merged;
   for (std::size_t i = 0; i < take; ++i) read_segment(sealed[i].path, merged);
-
-  std::uint64_t dropped = 0;
-  PayloadTally tally;
-  std::vector<TelemetryRecord> kept;
-  kept.reserve(merged.records.size());
-  for (const TelemetryRecord& record : merged.records) {
-    if (evicted_.count(record.session) > 0) {
-      ++dropped;
-      continue;
-    }
-    kept.push_back(record);
-    tally.add_record(record);
-  }
+  const auto dropped = static_cast<std::uint64_t>(std::erase_if(
+      merged.records, [this](const TelemetryRecord& r) { return evicted_.count(r.session) > 0; }));
   std::vector<TelemetrySession> sessions;
   std::set<serve::SessionId> seen;
-  for (const TelemetrySession& session : merged.sessions) {
-    if (evicted_.count(session.id) > 0 || !seen.insert(session.id).second) continue;
-    sessions.push_back(session);
+  for (TelemetrySession& session : merged.sessions) {
+    if (evicted_.count(session.id) == 0 && seen.insert(session.id).second) {
+      sessions.push_back(std::move(session));
+    }
   }
-  tally.sessions = sessions.size();
+  merged.sessions = std::move(sessions);
 
   SegmentHeader header;
   header.base_seq = sealed.front().header.base_seq;
   header.open_steady_ns = sealed.front().header.open_steady_ns;
   header.close_steady_ns = sealed[take - 1].header.close_steady_ns;
-  header.sealed = 1;
-  tally.fill(header);
-
   const std::string sealed_path =
-      (fs::path(config_.directory) / (segment_basename(header.base_seq) + kSealedSuffix)).string();
+      (fs::path(config_.directory) / segment_file_name(header.base_seq)).string();
   const std::string tmp_path = sealed_path + ".tmp";
-  {
-    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-    if (!out) throw std::runtime_error("TelemetryStore: cannot create " + tmp_path);
-    write_header_at_start(out, header);  // provisional (payload fields open)
-    std::uint32_t crc = 0;
-    std::uint64_t payload_bytes = 0;
-    const auto append = [&](std::uint8_t type, const std::string& body) {
-      const std::string frame = make_frame(type, body);
-      out.write(frame.data(), static_cast<std::streamsize>(frame.size()));
-      crc = common::crc32_update(crc, frame.data(), kFrameHeaderBytes);
-      payload_bytes += frame.size();
-    };
-    for (const TelemetrySession& session : sessions) {
-      std::ostringstream body(std::ios::binary);
-      detail::write_session(body, session);
-      append(kFrameSession, body.str());
-    }
-    for (const TelemetryRecord& record : kept) {
-      std::ostringstream body(std::ios::binary);
-      detail::write_record(body, record);
-      append(kFrameRecord, body.str());
-    }
-    header.payload_bytes = payload_bytes;
-    header.payload_crc = crc;
-    out.seekp(0);
-    write_header_at_start(out, header);
-    if (!out) throw std::runtime_error("TelemetryStore: compaction write failed for " + tmp_path);
-  }
+  write_segment(tmp_path, merged, header);
 
   // Crash-safe swap: stage a manifest naming the output and every input,
   // atomically replace the oldest input with the merged segment, then
@@ -966,6 +909,13 @@ TelemetryStore::Stats TelemetryStore::stats() const {
 // ---------------------------------------------------------------------------
 // Directory-level read side
 
+std::string segment_file_name(std::uint64_t base_seq) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "seg-%016llx%s", static_cast<unsigned long long>(base_seq),
+                kSealedSuffix);
+  return buf;
+}
+
 SegmentHeader read_segment_header(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("telemetry segment: cannot read " + path);
@@ -999,6 +949,25 @@ std::vector<SegmentInfo> list_segments(const std::string& directory) {
   return out;
 }
 
+SegmentHeader write_segment(const std::string& path, const TelemetryTrace& trace,
+                            SegmentHeader header) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (!out) throw std::runtime_error("telemetry segment: cannot create " + path);
+  write_header_at_start(out, header);  // provisional: the payload fields are not known yet
+  PayloadTally tally;
+  std::string frame;
+  for (const TelemetrySession& session : trace.sessions) {
+    put_session_frame(out, frame, tally, session);
+  }
+  for (const TelemetryRecord& record : trace.records) put_record_frame(out, frame, tally, record);
+  tally.seal(header);
+  out.seekp(0);
+  write_header_at_start(out, header);
+  out.flush();
+  if (!out) throw std::runtime_error("telemetry segment: write failed for " + path);
+  return header;
+}
+
 void read_segment(const std::string& path, TelemetryTrace& into) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("telemetry segment: cannot read " + path);
@@ -1007,9 +976,10 @@ void read_segment(const std::string& path, TelemetryTrace& into) {
     throw std::runtime_error("telemetry segment: refusing unsealed segment " + path +
                              " (reopen the store to run crash recovery, or seal it)");
   }
-  ScannedPayload scanned = scan_payload(in, header.trace_version, /*keep_payload=*/true);
-  if (scanned.torn_tail || scanned.good_bytes != header.payload_bytes ||
-      scanned.crc != header.payload_crc || scanned.tally.records != header.record_count) {
+  ScannedPayload scanned = scan_payload(in, /*keep_payload=*/true);
+  if (scanned.torn_tail || scanned.tally.payload_bytes != header.payload_bytes ||
+      scanned.tally.payload_crc != header.payload_crc ||
+      scanned.tally.records != header.record_count) {
     throw std::runtime_error("telemetry segment: payload does not match sealed header in " + path +
                              " (torn or corrupted - refusing to load)");
   }
@@ -1037,88 +1007,6 @@ TelemetryTrace load_directory(const std::string& directory) {
   return trace;
 }
 
-dyn::TransitionDataset directory_to_dataset(const std::string& directory) {
-  // Streaming pairing: segments arrive in seq order and a session's
-  // records are decision-ordered within the stream (same-shard rings,
-  // append-order segments), so one pending record per session suffices.
-  struct Candidate {
-    dyn::Transition transition;
-    std::uint16_t cur_len = 0;
-    std::uint16_t next_len = 0;
-  };
-  std::map<serve::SessionId, TelemetryRecord> pending;
-  std::map<serve::SessionId, std::vector<Candidate>> per_session;
-
-  for (const SegmentInfo& info : list_segments(directory)) {
-    if (info.open) {
-      throw std::runtime_error("telemetry segment: active/torn tail present in " + directory +
-                               " - seal the store (or reopen it to recover) before loading");
-    }
-    std::ifstream in(info.path, std::ios::binary);
-    if (!in) throw std::runtime_error("telemetry segment: cannot read " + info.path);
-    const SegmentHeader header = read_header_stream(in, info.path);
-    if (header.sealed == 0) {
-      throw std::runtime_error("telemetry segment: refusing unsealed segment " + info.path);
-    }
-    std::uint64_t records_seen = 0;
-    std::uint64_t bytes_seen = 0;
-    std::uint32_t crc = 0;
-    while (bytes_seen < header.payload_bytes) {
-      std::uint8_t type = 0;
-      std::uint32_t body_len = 0;
-      std::uint32_t body_crc = 0;
-      if (!in.read(reinterpret_cast<char*>(&type), 1) ||
-          !in.read(reinterpret_cast<char*>(&body_len), 4) ||
-          !in.read(reinterpret_cast<char*>(&body_crc), 4) || body_len > kMaxFrameBody) {
-        throw std::runtime_error("telemetry segment: torn frame in " + info.path);
-      }
-      std::string body(body_len, '\0');
-      if (!in.read(body.data(), static_cast<std::streamsize>(body_len)) ||
-          common::crc32(body.data(), body.size()) != body_crc) {
-        throw std::runtime_error("telemetry segment: frame CRC mismatch in " + info.path);
-      }
-      crc = chain_frame_header(crc, type, body_len, body_crc);
-      bytes_seen += kFrameHeaderBytes + body_len;
-      if (type != kFrameRecord) continue;
-      std::istringstream body_in(body, std::ios::binary);
-      const TelemetryRecord record = detail::read_record(body_in, header.trace_version);
-      ++records_seen;
-
-      const auto it = pending.find(record.session);
-      if (it != pending.end() && record.decision_index == it->second.decision_index + 1) {
-        const TelemetryRecord& cur = it->second;
-        Candidate candidate;
-        candidate.transition.input = cur.obs_vector();
-        candidate.transition.action.heating_c = cur.heating_c;
-        candidate.transition.action.cooling_c = cur.cooling_c;
-        candidate.transition.next_zone_temp = record.obs[record.zone_temp_dim];
-        candidate.cur_len = cur.obs_len;
-        candidate.next_len = record.obs_len;
-        per_session[record.session].push_back(std::move(candidate));
-      }
-      pending[record.session] = record;
-    }
-    if (crc != header.payload_crc || records_seen != header.record_count) {
-      throw std::runtime_error("telemetry segment: payload does not match sealed header in " +
-                               info.path + " (torn or corrupted - refusing to load)");
-    }
-  }
-
-  // Same width discipline as trace_to_dataset(): the first session-ordered
-  // candidate pair fixes the dataset's input width.
-  dyn::TransitionDataset dataset;
-  std::uint16_t width = 0;
-  for (auto& [session, candidates] : per_session) {
-    (void)session;
-    for (Candidate& candidate : candidates) {
-      if (width == 0) width = candidate.cur_len;
-      if (candidate.cur_len != width || candidate.next_len != width) continue;
-      dataset.add(std::move(candidate.transition));
-    }
-  }
-  return dataset;
-}
-
 SegmentVerifyReport verify_segment(const std::string& path, const ReplayAssets* assets,
                                    const ReplayConfig* config) {
   SegmentVerifyReport report;
@@ -1131,12 +1019,12 @@ SegmentVerifyReport verify_segment(const std::string& path, const ReplayAssets* 
     if (!in) throw std::runtime_error("cannot read " + path);
     header = read_header_stream(in, path);
     if (header.sealed == 0) throw std::runtime_error("segment not sealed: " + path);
-    scanned = scan_payload(in, header.trace_version, /*keep_payload=*/true);
+    scanned = scan_payload(in, /*keep_payload=*/true);
     if (scanned.torn_tail) throw std::runtime_error("torn frame in payload of " + path);
-    if (scanned.good_bytes != header.payload_bytes) {
+    if (scanned.tally.payload_bytes != header.payload_bytes) {
       throw std::runtime_error("payload byte count does not match header in " + path);
     }
-    if (scanned.crc != header.payload_crc) {
+    if (scanned.tally.payload_crc != header.payload_crc) {
       throw std::runtime_error("payload CRC mismatch in " + path);
     }
     if (scanned.tally.records != header.record_count ||

@@ -11,10 +11,12 @@
 //
 // Layout per segment: magic "VHTS", a fixed-width versioned header, then
 // frames of [type u8 | body_len u32 | body_crc u32 | body]. A record
-// frame's body is byte-identical to the same record in a v2 trace file
-// (shared detail::write_record), so segment payloads inherit the trace
-// format's locked byte layout; session frames carry the session table, so
-// every segment replays on its own. The sealed header carries:
+// frame's body is the record's wire format (detail::append_record, layout
+// kTelemetryTraceVersion); session frames carry the session table, so
+// every segment replays on its own. A sealed segment is also the portable
+// trace file: compaction, `verihvac_cli trace dump --out` and the benches
+// write one through write_segment(), and read_segment() is the one loader.
+// The sealed header carries:
 //
 //   * a payload CRC chained over every frame header (each of which embeds
 //     its body's CRC) — detects torn/flipped bits anywhere in the payload;
@@ -59,7 +61,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -74,7 +75,7 @@ namespace verihvac::adapt {
 
 /// Current segment container version (framing + header layout). Distinct
 /// from kTelemetryTraceVersion, which governs record *bodies*; a header
-/// carries both.
+/// carries both, and readers accept only these current values.
 inline constexpr std::uint32_t kSegmentFormatVersion = 1;
 
 /// Frame types inside a segment payload.
@@ -219,15 +220,7 @@ class TelemetryStore {
   bool persistence_disabled() const { return persist_disabled_.load(std::memory_order_relaxed); }
 
  private:
-  struct ActiveSegment {
-    std::string path;  ///< the `.open` file
-    std::ofstream file;
-    SegmentHeader header;
-    std::uint32_t crc = 0;                ///< rolling payload CRC
-    std::set<std::uint64_t> schema_pairs; ///< (obs_len<<16)|zone_temp_dim
-    std::uint64_t last_schema_pair = UINT64_MAX;
-    std::chrono::steady_clock::time_point opened_at;
-  };
+  struct ActiveSegment;
 
   void recover_compactions();
   void recover_open_segments();
@@ -293,6 +286,9 @@ class TelemetryStore {
 // ---------------------------------------------------------------------------
 // Directory-level read side (CLI + tests; no TelemetryStore needed).
 
+/// "seg-<base_seq:016x>.vhtseg": a sealed segment's file name.
+std::string segment_file_name(std::uint64_t base_seq);
+
 /// Parses one segment's header; throws std::runtime_error on bad magic,
 /// unsupported version or a header-CRC mismatch.
 SegmentHeader read_segment_header(const std::string& path);
@@ -300,6 +296,15 @@ SegmentHeader read_segment_header(const std::string& path);
 /// Every segment in the directory, sorted by base_seq (sealed and open).
 /// Throws on an unreadable/corrupt header.
 std::vector<SegmentInfo> list_segments(const std::string& directory);
+
+/// Writes `trace` (sessions, then records, in vector order) as one sealed
+/// segment at `path` and returns its header. `header` supplies base_seq
+/// and the open/close instants; every other field is computed from the
+/// payload. The one sealed-segment writer: compaction, `trace dump --out`
+/// and the benches all go through it. Throws std::runtime_error on I/O
+/// failure.
+SegmentHeader write_segment(const std::string& path, const TelemetryTrace& trace,
+                            SegmentHeader header = {});
 
 /// Appends one sealed segment's sessions + records into `into`, verifying
 /// the payload CRC and every frame CRC; throws std::runtime_error on any
@@ -310,12 +315,6 @@ void read_segment(const std::string& path, TelemetryTrace& into);
 /// sessions deduplicated by id. The result is record-for-record identical
 /// to the in-memory trace the same decisions produced (bench-gated).
 TelemetryTrace load_directory(const std::string& directory);
-
-/// Streaming dataset build: consumes segments one frame at a time and
-/// pairs session-consecutive records on the fly, holding only one pending
-/// record per session — never a whole TelemetryTrace. Produces exactly
-/// trace_to_dataset(load_directory(dir)) (test-locked).
-dyn::TransitionDataset directory_to_dataset(const std::string& directory);
 
 /// verify: structural pass (CRCs, header ranges, recorded-action
 /// fingerprint) plus — when assets are supplied — a replay pass that

@@ -11,7 +11,9 @@
 #include <vector>
 
 #include "adapt/telemetry.hpp"
+#include "common/logging.hpp"
 #include "control/rollout_engine.hpp"
+#include "envlib/feature_schema.hpp"
 #include "serve/request_scheduler.hpp"
 #include "serve/serve_test_utils.hpp"
 
@@ -56,9 +58,9 @@ void emit(TelemetryLog& log, serve::SessionId session, std::uint64_t index, doub
 
 /// The locked wire bytes of one record — the byte-identity oracle.
 std::string record_bytes(const TelemetryRecord& record) {
-  std::ostringstream out(std::ios::binary);
-  detail::write_record(out, record);
-  return out.str();
+  std::string out;
+  detail::append_record(out, record);
+  return out;
 }
 
 void expect_records_identical(const std::vector<TelemetryRecord>& a,
@@ -383,29 +385,142 @@ TEST(TelemetryStoreTest, RetentionDeletesOldestAndCountsDrops) {
   EXPECT_GT(store.stats().records_dropped_retention, 0u);
 }
 
-TEST(TelemetryStoreTest, DirectoryDatasetMatchesTraceDataset) {
-  const std::string dir = fresh_dir("verihvac_store_test_dataset");
-  auto log = std::make_shared<TelemetryLog>();
-  log->register_session(1, 1001, "toy");
-  log->register_session(2, 1002, "toy");
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
 
-  TelemetryStoreConfig config = manual_config(dir);
-  config.segment_max_records = 3;  // transitions must pair across segments
-  TelemetryStore store(log, config);
-  for (std::uint64_t d = 0; d < 10; ++d) {
-    emit(*log, 1 + (d % 2), d / 2, 16.0 + static_cast<double>(d));
-  }
-  store.pump_once();
-  store.stop();
+void write_file(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
 
-  const dyn::TransitionDataset streamed = directory_to_dataset(dir);
-  const dyn::TransitionDataset loaded = trace_to_dataset(load_directory(dir));
-  ASSERT_EQ(streamed.size(), loaded.size());
-  EXPECT_EQ(streamed.size(), 8u);  // 2 sessions x (5 records -> 4 transitions)
-  for (std::size_t i = 0; i < streamed.size(); ++i) {
-    EXPECT_EQ(streamed.at(i).input, loaded.at(i).input);
-    EXPECT_DOUBLE_EQ(streamed.at(i).next_zone_temp, loaded.at(i).next_zone_temp);
+TEST(TelemetryStoreTest, EveryFlipAndTruncationIsRefused) {
+  // One DT record, one MBRL record carrying a forecast and one 9-dim
+  // time-aware record: every frame type and variable-length field.
+  TelemetryTrace trace;
+  trace.sessions.push_back({1, 1001, "toy"});
+  TelemetryRecord dt;
+  dt.session = 1;
+  dt.session_seed = 1001;
+  dt.policy_version = 1;
+  dt.action_index = 3;
+  dt.obs[0] = 17.5;
+  TelemetryRecord mbrl = dt;
+  mbrl.decision_index = 1;
+  mbrl.kind = static_cast<std::uint8_t>(serve::RequestKind::kMbrlFallback);
+  mbrl.forecast_len = 2;
+  mbrl.forecast[1].outdoor_temp_c = -5.0;
+  TelemetryRecord aware = dt;
+  aware.decision_index = 2;
+  aware.obs_len = 9;
+  aware.obs[8] = 9.0;
+  trace.records = {dt, mbrl, aware};
+
+  const std::string dir = fresh_dir("verihvac_store_test_sweep");
+  const std::string path = (fs::path(dir) / segment_file_name(0)).string();
+  write_segment(path, trace);
+  const std::string clean = file_bytes(path);
+  ASSERT_TRUE(verify_segment(path).ok());
+
+  // Recovery logs every quarantine/trim; keep the sweep's output readable.
+  const LogLevel threshold = log_threshold();
+  set_log_threshold(LogLevel::kError);
+  const std::string tail_dir = fresh_dir("verihvac_store_test_sweep_tail");
+  const auto expect_refused = [&](const std::string& bytes, const std::string& what) {
+    write_file(path, bytes);
+    TelemetryTrace into;
+    EXPECT_THROW(read_segment(path, into), std::runtime_error) << what;
+    EXPECT_FALSE(verify_segment(path).ok()) << what;
+    // Crash recovery over the same bytes as an `.open` tail trims or
+    // quarantines them; it never throws.
+    fs::remove_all(tail_dir);
+    fs::create_directories(tail_dir);
+    write_file((fs::path(tail_dir) / (segment_file_name(0) + ".open")).string(), bytes);
+    EXPECT_NO_THROW({
+      TelemetryStore store(std::make_shared<TelemetryLog>(), manual_config(tail_dir));
+      store.stop();
+    }) << what;
+  };
+  for (std::size_t i = 0; i < clean.size(); ++i) {
+    std::string bytes = clean;
+    bytes[i] = static_cast<char>(bytes[i] ^ 0xFF);
+    expect_refused(bytes, "byte " + std::to_string(i) + " flipped");
   }
+  for (std::size_t size = 0; size < clean.size(); ++size) {
+    expect_refused(clean.substr(0, size), "truncated to " + std::to_string(size) + " bytes");
+  }
+  set_log_threshold(threshold);
+}
+
+TEST(TelemetryStoreTest, RecoveryResealsWhatACleanSealWrites) {
+  // The same decisions sealed twice: once by seal_active(), once by a
+  // crash and the next open's recovery. Only the steady-clock instants
+  // may differ.
+  const auto capture = [](const std::string& dir, bool crash) {
+    auto log = std::make_shared<TelemetryLog>();
+    log->register_session(1, 1001, "toy");
+    log->register_session(2, 1002, "toy");
+    TelemetryStoreConfig config = manual_config(dir);
+    config.seal_on_close = !crash;
+    {
+      TelemetryStore store(log, config);
+      for (std::uint64_t d = 0; d < 9; ++d) {
+        emit(*log, 1 + (d % 2), d / 2, 17.0 + static_cast<double>(d));
+      }
+      // A second schema shape, so the schema fingerprint covers two pairs.
+      const env::Observation obs = cold_occupied(19.0);
+      const std::string key = "toy";
+      serve::DecisionEvent event;
+      event.session = 2;
+      event.decision_index = 5;
+      event.session_seed = 1002;
+      event.policy_key = &key;
+      event.policy_version = 1;
+      event.action_index = 2;
+      event.observation = &obs;
+      event.schema = &env::time_aware_schema();
+      log->on_decision(event);
+      store.pump_once();
+      if (!crash) store.seal_active();
+      store.stop();
+    }
+    if (crash) {
+      TelemetryStore recovered(std::make_shared<TelemetryLog>(), manual_config(dir));
+      EXPECT_EQ(recovered.stats().truncations, 0u);
+      recovered.stop();
+    }
+    const std::vector<SegmentInfo> segments = list_segments(dir);
+    EXPECT_EQ(segments.size(), 1u);
+    return segments.empty() ? SegmentInfo{} : segments.front();
+  };
+  const SegmentInfo clean = capture(fresh_dir("verihvac_store_test_reseal_clean"), false);
+  const SegmentInfo crashed = capture(fresh_dir("verihvac_store_test_reseal_crash"), true);
+  ASSERT_FALSE(clean.path.empty());
+  ASSERT_FALSE(crashed.path.empty());
+
+  const SegmentHeader& a = clean.header;
+  const SegmentHeader& b = crashed.header;
+  EXPECT_EQ(a.format_version, b.format_version);
+  EXPECT_EQ(a.trace_version, b.trace_version);
+  EXPECT_EQ(a.sealed, 1u);
+  EXPECT_EQ(b.sealed, 1u);
+  EXPECT_EQ(a.base_seq, b.base_seq);
+  EXPECT_EQ(a.record_count, 10u);
+  EXPECT_EQ(a.record_count, b.record_count);
+  EXPECT_EQ(a.session_count, b.session_count);
+  EXPECT_EQ(a.session_min, b.session_min);
+  EXPECT_EQ(a.session_max, b.session_max);
+  EXPECT_EQ(a.decision_min, b.decision_min);
+  EXPECT_EQ(a.decision_max, b.decision_max);
+  EXPECT_EQ(a.schema_fingerprint, b.schema_fingerprint);
+  EXPECT_EQ(a.payload_bytes, b.payload_bytes);
+  EXPECT_EQ(a.payload_crc, b.payload_crc);
+  EXPECT_EQ(a.replay_fingerprint, b.replay_fingerprint);
+  EXPECT_EQ(file_bytes(clean.path).substr(kSegmentHeaderBytes),
+            file_bytes(crashed.path).substr(kSegmentHeaderBytes));
+  EXPECT_TRUE(verify_segment(crashed.path).ok());
 }
 
 // ---------------------------------------------------------------------------

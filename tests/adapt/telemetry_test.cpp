@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -11,6 +12,8 @@
 #include <thread>
 #include <vector>
 
+#include "adapt/telemetry_store.hpp"
+#include "common/crc32.hpp"
 #include "envlib/feature_schema.hpp"
 #include "serve/request_scheduler.hpp"
 #include "serve/serve_test_utils.hpp"
@@ -206,11 +209,12 @@ TEST(TelemetryTraceTest, SaveLoadSaveIsByteIdentical) {
   trace.sessions = log.sessions();
   log.drain(trace.records);
 
-  const std::string path_a = temp_path("verihvac_trace_a.bin");
-  const std::string path_b = temp_path("verihvac_trace_b.bin");
-  save_trace(trace, path_a);
-  const TelemetryTrace loaded = load_trace(path_a);
-  save_trace(loaded, path_b);
+  const std::string path_a = temp_path("verihvac_trace_a.vhtseg");
+  const std::string path_b = temp_path("verihvac_trace_b.vhtseg");
+  write_segment(path_a, trace);
+  TelemetryTrace loaded;
+  read_segment(path_a, loaded);
+  write_segment(path_b, loaded);
 
   EXPECT_EQ(file_bytes(path_a), file_bytes(path_b));
   ASSERT_EQ(loaded.sessions.size(), 2u);
@@ -259,21 +263,48 @@ TEST(TelemetryLogTest, SchemaTaggedEventsCarryTheSchemaShape) {
   EXPECT_EQ(records[1].zone_temp_dim, 0u);
 }
 
+/// Overwrites one u32 header field (byte offset within the serialized
+/// fields, after the magic) and recomputes the header CRC, so the field
+/// itself is the only thing wrong with the segment.
+void patch_header_u32(const std::string& path, std::size_t field_offset, std::uint32_t value) {
+  constexpr std::size_t kMagicBytes = 4;
+  std::string bytes = file_bytes(path);
+  std::memcpy(&bytes[kMagicBytes + field_offset], &value, sizeof value);
+  const std::uint32_t crc =
+      common::crc32(bytes.data() + kMagicBytes, kSegmentHeaderBytes - kMagicBytes - sizeof crc);
+  std::memcpy(&bytes[kSegmentHeaderBytes - sizeof crc], &crc, sizeof crc);
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
 TEST(TelemetryTraceTest, LoadRejectsBadMagicAndVersion) {
-  const std::string path = temp_path("verihvac_trace_bad.bin");
+  TelemetryTrace trace;
+  trace.sessions.push_back({1, 1001, "toy"});
+  trace.records.emplace_back();
+  const std::string path = temp_path("verihvac_trace_bad.vhtseg");
+  TelemetryTrace into;
+
+  write_segment(path, trace);
   {
-    std::ofstream out(path, std::ios::binary);
-    out << "NOPE";
+    std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+    file.write("NOPE", 4);
   }
-  EXPECT_THROW(load_trace(path), std::runtime_error);
-  {
-    std::ofstream out(path, std::ios::binary);
-    out.write("VHTL", 4);
-    const std::uint32_t version = 999;
-    out.write(reinterpret_cast<const char*>(&version), sizeof(version));
-  }
-  EXPECT_THROW(load_trace(path), std::runtime_error);
-  EXPECT_THROW(load_trace(temp_path("verihvac_trace_missing.bin")), std::runtime_error);
+  EXPECT_THROW(read_segment(path, into), std::runtime_error);
+
+  write_segment(path, trace);
+  patch_header_u32(path, 0, 999);  // format_version
+  EXPECT_THROW(read_segment(path, into), std::runtime_error);
+
+  write_segment(path, trace);
+  patch_header_u32(path, 4, 1);  // trace_version: v1 bodies no longer load
+  EXPECT_THROW(read_segment(path, into), std::runtime_error);
+
+  // The patch itself is sound: rewriting the current version still loads.
+  patch_header_u32(path, 4, kTelemetryTraceVersion);
+  EXPECT_NO_THROW(read_segment(path, into));
+  EXPECT_EQ(into.records.size(), 1u);
+
+  EXPECT_THROW(read_segment(temp_path("verihvac_trace_missing.vhtseg"), into),
+               std::runtime_error);
   std::remove(path.c_str());
 }
 
@@ -299,11 +330,12 @@ TEST(TelemetryTraceTest, TimeAwareRecordsSurviveSaveLoad) {
   }
   trace.records.push_back(r);
 
-  const std::string path_a = temp_path("verihvac_trace_aware_a.bin");
-  const std::string path_b = temp_path("verihvac_trace_aware_b.bin");
-  save_trace(trace, path_a);
-  const TelemetryTrace loaded = load_trace(path_a);
-  save_trace(loaded, path_b);
+  const std::string path_a = temp_path("verihvac_trace_aware_a.vhtseg");
+  const std::string path_b = temp_path("verihvac_trace_aware_b.vhtseg");
+  write_segment(path_a, trace);
+  TelemetryTrace loaded;
+  read_segment(path_a, loaded);
+  write_segment(path_b, loaded);
   EXPECT_EQ(file_bytes(path_a), file_bytes(path_b));
 
   ASSERT_EQ(loaded.records.size(), 1u);
@@ -317,58 +349,6 @@ TEST(TelemetryTraceTest, TimeAwareRecordsSurviveSaveLoad) {
   EXPECT_DOUBLE_EQ(back.forecast[1].occupants_ahead, 9.0);
   std::remove(path_a.c_str());
   std::remove(path_b.c_str());
-}
-
-template <typename T>
-void put(std::ofstream& out, T value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(value));
-}
-
-TEST(TelemetryTraceTest, V1TraceLoadsAsImplicitBaseline) {
-  // A hand-written version-1 blob: no obs_len/zone_temp_dim fields, six
-  // observation doubles, and five-double forecast entries. The loader
-  // must surface it as the baseline layout with temporal defaults.
-  const std::string path = temp_path("verihvac_trace_v1.bin");
-  {
-    std::ofstream out(path, std::ios::binary);
-    out.write("VHTL", 4);
-    put<std::uint32_t>(out, 1);  // version
-    put<std::uint64_t>(out, 1);  // sessions
-    put<std::uint64_t>(out, 7);  // id
-    put<std::uint64_t>(out, 1007);  // seed
-    const std::string key = "Pittsburgh/baseline";
-    put<std::uint64_t>(out, key.size());
-    out.write(key.data(), static_cast<std::streamsize>(key.size()));
-    put<std::uint64_t>(out, 1);  // records
-    put<std::uint64_t>(out, 7);  // session
-    put<std::uint64_t>(out, 0);  // decision_index
-    put<std::uint64_t>(out, 1007);  // session_seed
-    put<std::uint64_t>(out, 1);  // policy_version
-    put<std::uint8_t>(out, 0);   // kind
-    put<std::uint8_t>(out, 0);   // forecast_truncated
-    put<std::uint16_t>(out, 1);  // forecast_len
-    put<std::uint32_t>(out, 3);  // action_index
-    put<double>(out, 1e-6);      // latency
-    for (double v : {17.5, -5.0, 50.0, 3.0, 120.0, 11.0}) put<double>(out, v);
-    put<double>(out, 18.0);  // heating
-    put<double>(out, 26.0);  // cooling
-    for (double v : {-5.0, 50.0, 3.0, 120.0, 11.0}) put<double>(out, v);  // forecast[0]
-  }
-
-  const TelemetryTrace trace = load_trace(path);
-  ASSERT_EQ(trace.records.size(), 1u);
-  const TelemetryRecord& r = trace.records[0];
-  EXPECT_EQ(r.obs_len, 6u);
-  EXPECT_EQ(r.zone_temp_dim, 0u);
-  EXPECT_DOUBLE_EQ(r.obs[0], 17.5);
-  EXPECT_DOUBLE_EQ(r.obs[5], 11.0);
-  ASSERT_EQ(r.forecast_len, 1u);
-  EXPECT_DOUBLE_EQ(r.forecast[0].occupants, 11.0);
-  // Temporal fields the v1 layout never carried take their defaults.
-  EXPECT_DOUBLE_EQ(r.forecast[0].hour_sin, 0.0);
-  EXPECT_DOUBLE_EQ(r.forecast[0].hour_cos, 1.0);
-  EXPECT_DOUBLE_EQ(r.forecast[0].occupants_ahead, 0.0);
-  std::remove(path.c_str());
 }
 
 TEST(TelemetryTraceTest, DatasetPairsWithinOneSchemaShape) {

@@ -16,14 +16,15 @@
 //   verihvac stats       [--json] [--out FILE]
 //   verihvac trace ls     --dir DIR
 //   verihvac trace info   --segment FILE
-//   verihvac trace dump   --dir DIR [--out FILE.vht] [--limit N]
+//   verihvac trace dump   --dir DIR [--out DIR] [--limit N]
 //   verihvac trace replay --dir DIR (--city NAME | --policy FILE) [...]
 //   verihvac trace verify --dir DIR [--city NAME | --policy FILE] [...]
 //
 // The `trace` family operates on a durable-telemetry segment directory
 // (adapt::TelemetryStore; adapt-bench --telemetry-dir writes one): list
-// and inspect segments, consolidate them into a portable trace file, and
-// re-verify the store's integrity — `verify` recomputes every decision
+// and inspect segments, consolidate them into one sealed segment in a
+// fresh directory (which every `trace` verb reads back), and re-verify
+// the store's integrity — `verify` recomputes every decision
 // from its RNG stream coordinates and checks the replay fingerprint, so a
 // passing segment is certified by bit-identical replay, not just CRCs.
 //
@@ -673,12 +674,32 @@ int cmd_trace_info(const Args& args) {
 }
 
 int cmd_trace_dump(const Args& args) {
-  const adapt::TelemetryTrace trace = adapt::load_directory(args.required("dir"));
+  const std::string dir = args.required("dir");
+  const adapt::TelemetryTrace trace = adapt::load_directory(dir);
   if (args.flag("out")) {
-    const std::string path = args.required("out");
-    adapt::save_trace(trace, path);
-    std::printf("consolidated %zu session(s), %zu record(s) into %s\n", trace.sessions.size(),
-                trace.records.size(), path.c_str());
+    // One sealed segment spanning the whole store: the base seq and steady
+    // span of the run it consolidates, exactly as compaction would merge it.
+    const std::string out_dir = args.required("out");
+    std::filesystem::create_directories(out_dir);
+    const auto existing = adapt::list_segments(out_dir);
+    if (!existing.empty()) {
+      throw std::runtime_error("--out " + out_dir + " already holds segment " +
+                               existing.front().path + "; pick an empty directory");
+    }
+    const auto segments = adapt::list_segments(dir);
+    adapt::SegmentHeader header;
+    if (!segments.empty()) {
+      header.base_seq = segments.front().header.base_seq;
+      header.open_steady_ns = segments.front().header.open_steady_ns;
+      header.close_steady_ns = segments.back().header.close_steady_ns;
+    }
+    const std::string path =
+        (std::filesystem::path(out_dir) / adapt::segment_file_name(header.base_seq)).string();
+    header = adapt::write_segment(path, trace, header);
+    std::printf("consolidated %zu session(s), %zu record(s) into %s (replay fingerprint "
+                "%016llx)\n",
+                trace.sessions.size(), trace.records.size(), path.c_str(),
+                static_cast<unsigned long long>(header.replay_fingerprint));
     return 0;
   }
   const std::size_t limit = args.get_count("limit", 20);
@@ -693,7 +714,7 @@ int cmd_trace_dump(const Args& args) {
                 r.forecast_len);
   }
   if (trace.records.size() > limit) {
-    std::printf("  ... %zu more (raise --limit or use --out FILE)\n",
+    std::printf("  ... %zu more (raise --limit or use --out DIR)\n",
                 trace.records.size() - limit);
   }
   return 0;
@@ -944,7 +965,7 @@ const std::map<std::string, Command>& commands() {
       {"trace info", {{{"segment", true}}, "trace info   --segment FILE", cmd_trace_info}},
       {"trace dump",
        {{{"dir", true}, {"out", true}, {"limit", true}},
-        "trace dump   --dir DIR [--out FILE.vht] [--limit N]",
+        "trace dump   --dir DIR [--out DIR] [--limit N]",
         cmd_trace_dump}},
       {"trace replay",
        {{{"dir", true},
