@@ -12,7 +12,9 @@
 //
 // Implementation: google-benchmark drives the per-decision timing; a
 // paper-style summary table with the mean/std over a fixed decision
-// stream is printed afterwards.
+// stream is printed afterwards. BM_CartFit adds the offline side of the
+// trade: the cost of distilling one tree (a CART fit over a bundle-sized
+// decision dataset), paid per extraction, VIPER round and redistill.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -21,7 +23,10 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "common/rng.hpp"
+#include "control/action_space.hpp"
 #include "envlib/env.hpp"
+#include "tree/cart.hpp"
 
 namespace {
 
@@ -86,10 +91,40 @@ void BM_DtDecision(benchmark::State& state) {
   decision_benchmark(state, [] { return artifacts().make_dt_policy(); });
 }
 
+/// One CART fit: 1500 seeded points, 6 features, the 87-action space and
+/// min_samples_leaf = 6 (the bundle distillation setting). Labels follow
+/// an axis-aligned 9x9 action map with 10% label noise, so the tree grows
+/// real structure.
+void BM_CartFit(benchmark::State& state) {
+  const std::size_t num_classes = control::ActionSpace().size();
+  Rng rng(0xCA27);
+  std::vector<std::vector<double>> x;
+  std::vector<int> y;
+  for (std::size_t i = 0; i < 1500; ++i) {
+    std::vector<double> row(6);
+    for (double& v : row) v = rng.uniform(0.0, 1.0);
+    const auto cell =
+        static_cast<std::size_t>(row[0] * 9.0) * 9 + static_cast<std::size_t>(row[1] * 9.0);
+    y.push_back(static_cast<int>(rng.uniform() < 0.1 ? rng.index(num_classes) : cell));
+    x.push_back(std::move(row));
+  }
+  tree::TreeConfig config;
+  config.min_samples_leaf = 6;
+  std::size_t leaves = 0;
+  for (auto _ : state) {
+    tree::DecisionTreeClassifier fitted(config);
+    fitted.fit(x, y, num_classes);
+    leaves = fitted.leaf_count();
+    benchmark::DoNotOptimize(leaves);
+  }
+  state.counters["leaves"] = static_cast<double>(leaves);
+}
+
 BENCHMARK(BM_DefaultDecision)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_MbrlDecision)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ClueDecision)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DtDecision)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_CartFit)->Unit(benchmark::kMillisecond);
 
 /// Paper-style mean/std over the whole decision stream (the paper's std is
 /// across decisions, which aggregate benchmark stats do not capture).

@@ -2,17 +2,25 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
+#include <numeric>
 #include <stdexcept>
+
+#include "tree/split.hpp"
 
 namespace verihvac::tree {
 
 DecisionTreeClassifier::DecisionTreeClassifier(TreeConfig config) : config_(config) {}
 
 struct DecisionTreeClassifier::BuildContext {
-  const std::vector<std::vector<double>>* x;
-  const std::vector<int>* y;
-  std::size_t num_classes;
+  std::size_t rows = 0;
+  const std::vector<int>* y = nullptr;
+  // Column-major copy of x: columns[feature * rows + row].
+  std::vector<double> columns;
+  // Per feature, the rows sorted by that feature: orders[feature * rows + k].
+  // A node owns positions [begin, end) of every order.
+  std::vector<std::size_t> orders;
+  // Per row, whether the split being applied sends it left.
+  std::vector<char> goes_left;
   // Scratch class-count buffers reused across nodes.
   std::vector<double> left_counts;
   std::vector<double> right_counts;
@@ -21,13 +29,8 @@ struct DecisionTreeClassifier::BuildContext {
 
 namespace {
 
-/// Gini impurity from class counts (total = sum of counts).
-double gini(const std::vector<double>& counts, double total) {
-  if (total <= 0.0) return 0.0;
-  double sum_sq = 0.0;
-  for (double c : counts) sum_sq += c * c;
-  return 1.0 - sum_sq / (total * total);
-}
+/// Gini impurity of `n` > 0 samples whose class counts square-sum to `sum_sq`.
+double gini(double sum_sq, double n) { return 1.0 - sum_sq / (n * n); }
 
 int majority_label(const std::vector<double>& counts) {
   return static_cast<int>(
@@ -46,36 +49,50 @@ void DecisionTreeClassifier::fit(const std::vector<std::vector<double>>& x,
       throw std::invalid_argument("DecisionTreeClassifier::fit: label out of range");
     }
   }
+  check_feature_rows(x, "DecisionTreeClassifier::fit");
   nodes_.clear();
   num_features_ = x.front().size();
   num_classes_ = num_classes;
 
   BuildContext ctx;
-  ctx.x = &x;
+  const std::size_t rows = x.size();
+  ctx.rows = rows;
   ctx.y = &y;
-  ctx.num_classes = num_classes;
+  ctx.columns.resize(num_features_ * rows);
+  ctx.orders.resize(num_features_ * rows);
+  for (std::size_t feature = 0; feature < num_features_; ++feature) {
+    double* column = &ctx.columns[feature * rows];
+    for (std::size_t row = 0; row < rows; ++row) column[row] = x[row][feature];
+    std::size_t* order = &ctx.orders[feature * rows];
+    std::iota(order, order + rows, std::size_t{0});
+    std::sort(order, order + rows,
+              [column](std::size_t a, std::size_t b) { return column[a] < column[b]; });
+  }
+  ctx.goes_left.resize(rows);
   ctx.left_counts.resize(num_classes);
   ctx.right_counts.resize(num_classes);
   ctx.total_counts.resize(num_classes);
-
-  std::vector<std::size_t> indices(x.size());
-  for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = i;
-  build_node(ctx, indices, 0, -1);
+  build_node(ctx, 0, rows, 0, -1);
 }
 
-int DecisionTreeClassifier::build_node(BuildContext& ctx, std::vector<std::size_t>& indices,
+int DecisionTreeClassifier::build_node(BuildContext& ctx, std::size_t begin, std::size_t end,
                                        std::size_t depth, int parent) {
-  const auto& x = *ctx.x;
   const auto& y = *ctx.y;
+  const std::size_t rows = ctx.rows;
+  const std::size_t samples = end - begin;
 
   std::fill(ctx.total_counts.begin(), ctx.total_counts.end(), 0.0);
-  for (std::size_t idx : indices) ctx.total_counts[static_cast<std::size_t>(y[idx])] += 1.0;
-  const double total = static_cast<double>(indices.size());
-  const double node_impurity = gini(ctx.total_counts, total);
+  for (std::size_t k = begin; k < end; ++k) {
+    ctx.total_counts[static_cast<std::size_t>(y[ctx.orders[k]])] += 1.0;
+  }
+  double total_sq = 0.0;
+  for (double c : ctx.total_counts) total_sq += c * c;
+  const double total = static_cast<double>(samples);
+  const double node_impurity = gini(total_sq, total);
 
   const int node_index = static_cast<int>(nodes_.size());
   nodes_.emplace_back();
-  nodes_[node_index].samples = indices.size();
+  nodes_[node_index].samples = samples;
   nodes_[node_index].impurity = node_impurity;
   nodes_[node_index].parent = parent;
 
@@ -85,7 +102,7 @@ int DecisionTreeClassifier::build_node(BuildContext& ctx, std::vector<std::size_
   };
 
   // Stopping rules: pure node, too few samples, or depth cap.
-  if (node_impurity <= 0.0 || indices.size() < config_.min_samples_split ||
+  if (node_impurity <= 0.0 || samples < config_.min_samples_split ||
       (config_.max_depth > 0 && depth >= config_.max_depth)) {
     return make_leaf();
   }
@@ -94,71 +111,73 @@ int DecisionTreeClassifier::build_node(BuildContext& ctx, std::vector<std::size_
   // acceptable when its impurity decrease is >= min_impurity_decrease —
   // including exactly-zero-gain splits (XOR-style data has no single split
   // with positive Gini gain, yet recursing through a zero-gain split still
-  // separates the classes two levels down).
+  // separates the classes two levels down). Moving one sample of class c
+  // from right to left changes the sides' sums of squared counts by
+  // +(2c+1) and -(2c-1), so each candidate threshold costs O(1).
   double best_gain = -1.0;
   int best_feature = -1;
   double best_threshold = 0.0;
 
-  std::vector<std::size_t> sorted = indices;
   for (std::size_t feature = 0; feature < num_features_; ++feature) {
-    std::sort(sorted.begin(), sorted.end(), [&x, feature](std::size_t a, std::size_t b) {
-      return x[a][feature] < x[b][feature];
-    });
+    const double* column = &ctx.columns[feature * rows];
+    const std::size_t* order = &ctx.orders[feature * rows];
     std::fill(ctx.left_counts.begin(), ctx.left_counts.end(), 0.0);
     ctx.right_counts = ctx.total_counts;
+    double left_sq = 0.0;
+    double right_sq = total_sq;
 
-    for (std::size_t i = 0; i + 1 < sorted.size(); ++i) {
-      const auto label = static_cast<std::size_t>(y[sorted[i]]);
+    for (std::size_t k = begin; k + 1 < end; ++k) {
+      const auto label = static_cast<std::size_t>(y[order[k]]);
+      left_sq += 2.0 * ctx.left_counts[label] + 1.0;
       ctx.left_counts[label] += 1.0;
+      right_sq -= 2.0 * ctx.right_counts[label] - 1.0;
       ctx.right_counts[label] -= 1.0;
 
-      const double left_value = x[sorted[i]][feature];
-      const double right_value = x[sorted[i + 1]][feature];
+      const double left_value = column[order[k]];
+      const double right_value = column[order[k + 1]];
       if (left_value >= right_value) continue;  // no boundary between equals
 
-      const double n_left = static_cast<double>(i + 1);
+      const double n_left = static_cast<double>(k + 1 - begin);
       const double n_right = total - n_left;
       if (n_left < static_cast<double>(config_.min_samples_leaf) ||
           n_right < static_cast<double>(config_.min_samples_leaf)) {
         continue;
       }
       const double weighted =
-          (n_left * gini(ctx.left_counts, n_left) + n_right * gini(ctx.right_counts, n_right)) /
-          total;
+          (n_left * gini(left_sq, n_left) + n_right * gini(right_sq, n_right)) / total;
       const double gain = node_impurity - weighted;
       if (gain >= config_.min_impurity_decrease - 1e-12 && gain > best_gain) {
         best_gain = gain;
         best_feature = static_cast<int>(feature);
-        best_threshold = 0.5 * (left_value + right_value);
+        best_threshold = split_threshold(left_value, right_value);
       }
     }
   }
 
   if (best_feature < 0) return make_leaf();
 
-  // Partition and recurse.
-  std::vector<std::size_t> left_idx;
-  std::vector<std::size_t> right_idx;
-  left_idx.reserve(indices.size());
-  right_idx.reserve(indices.size());
-  for (std::size_t idx : indices) {
-    if (x[idx][static_cast<std::size_t>(best_feature)] <= best_threshold) {
-      left_idx.push_back(idx);
-    } else {
-      right_idx.push_back(idx);
-    }
+  // Partition every order's range stably, so both children stay sorted.
+  const double* split_column = &ctx.columns[static_cast<std::size_t>(best_feature) * rows];
+  for (std::size_t k = begin; k < end; ++k) {
+    const std::size_t row = ctx.orders[k];
+    ctx.goes_left[row] = split_column[row] <= best_threshold;
   }
-  assert(!left_idx.empty() && !right_idx.empty());
+  std::size_t mid = begin;
+  for (std::size_t feature = 0; feature < num_features_; ++feature) {
+    std::size_t* order = &ctx.orders[feature * rows];
+    mid = static_cast<std::size_t>(
+        std::stable_partition(order + begin, order + end,
+                              [&ctx](std::size_t row) { return ctx.goes_left[row] != 0; }) -
+        order);
+  }
+  assert(mid > begin && mid < end);
 
   nodes_[node_index].feature = best_feature;
   nodes_[node_index].threshold = best_threshold;
-  // Free the parent's index list before recursing to bound peak memory.
-  indices.clear();
-  indices.shrink_to_fit();
 
-  const int left_child = build_node(ctx, left_idx, depth + 1, node_index);
+  const int left_child = build_node(ctx, begin, mid, depth + 1, node_index);
   nodes_[node_index].left = left_child;
-  const int right_child = build_node(ctx, right_idx, depth + 1, node_index);
+  const int right_child = build_node(ctx, mid, end, depth + 1, node_index);
   nodes_[node_index].right = right_child;
   return node_index;
 }

@@ -11,7 +11,19 @@
 //
 // Split semantics: left branch takes x[feature] <= threshold, right branch
 // takes x[feature] > threshold; thresholds are midpoints between adjacent
-// distinct feature values, as in sklearn.
+// distinct feature values, as in sklearn (tree/split.hpp).
+//
+// Split search is the presorted splitter of CART/sklearn: fit() sorts the
+// rows once per feature (O(F·n log n)), each node owns a contiguous range
+// of every sorted order, and a chosen split stably partitions those ranges,
+// so the search costs O(F·n) per tree level. The Gini sweep keeps each
+// side's sum of squared class counts and updates it in O(1) per sample.
+// Class counts are integer-valued doubles, so those sums are exact (for
+// n² < 2^53) and every Gini is the same 1 - Σc²/n² a full per-class
+// recount would give; candidates sit only at boundaries between distinct
+// values, where the left side holds exactly the rows <= the value whatever
+// the order among ties. Gains, tie-breaks and thresholds — hence the trees — are therefore
+// bit-identical to a per-node sort with a full Gini per candidate.
 #pragma once
 
 #include <cstddef>
@@ -107,7 +119,7 @@ class DecisionTreeClassifier {
 
  private:
   struct BuildContext;
-  int build_node(BuildContext& ctx, std::vector<std::size_t>& indices, std::size_t depth,
+  int build_node(BuildContext& ctx, std::size_t begin, std::size_t end, std::size_t depth,
                  int parent);
 
   TreeConfig config_;

@@ -7,6 +7,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "tree/split.hpp"
+
 namespace verihvac::tree {
 
 DecisionTreeRegressor::DecisionTreeRegressor(RegressionConfig config) : config_(config) {}
@@ -37,6 +39,7 @@ void DecisionTreeRegressor::fit(const std::vector<std::vector<double>>& x,
       throw std::invalid_argument("DecisionTreeRegressor::fit: non-finite target");
     }
   }
+  check_feature_rows(x, "DecisionTreeRegressor::fit");
   nodes_.clear();
   num_features_ = x.front().size();
 
@@ -110,7 +113,7 @@ int DecisionTreeRegressor::build_node(BuildContext& ctx, std::vector<std::size_t
       if (gain >= config_.min_impurity_decrease - 1e-12 && gain > best_gain) {
         best_gain = gain;
         best_feature = static_cast<int>(feature);
-        best_threshold = 0.5 * (left_value + right_value);
+        best_threshold = split_threshold(left_value, right_value);
       }
     }
   }

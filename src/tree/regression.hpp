@@ -12,7 +12,10 @@
 // Split semantics match the classifier (left takes x[feature] <= threshold,
 // thresholds are midpoints between adjacent distinct values); the split
 // objective is weighted child variance (equivalently, SSE reduction), the
-// exact greedy criterion of CART for squared loss.
+// exact greedy criterion of CART for squared loss. Unlike the classifier,
+// it sorts each node's rows per feature instead of presorting once: its
+// running target sums are order-dependent floating point, so a different
+// order among tied feature values would change the tree's bits.
 #pragma once
 
 #include <cstddef>

@@ -19,6 +19,36 @@ TEST(RegressionTest, FitRejectsBadInputs) {
                std::invalid_argument);
   EXPECT_THROW(tree.fit({{1.0}}, {std::numeric_limits<double>::infinity()}),
                std::invalid_argument);
+  // Ragged rows, zero-width rows and non-finite features are typed errors.
+  EXPECT_THROW(tree.fit({{1.0, 2.0}, {3.0}}, {0.0, 1.0}), std::invalid_argument);
+  EXPECT_THROW(tree.fit({{1.0}, {2.0, 3.0}}, {0.0, 1.0}), std::invalid_argument);
+  EXPECT_THROW(tree.fit({{}, {}}, {0.0, 1.0}), std::invalid_argument);
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(tree.fit({{1.0, 0.0}, {2.0, bad}}, {0.0, 1.0}), std::invalid_argument);
+  }
+  EXPECT_FALSE(tree.fitted());
+}
+
+TEST(RegressionTest, AdjacentDoublesSplitIntoNonEmptyChildren) {
+  // The rounded midpoint of adjacent doubles a < b equals b; the threshold
+  // must fall back to a so that `x <= threshold` separates the two values.
+  const double a = std::nextafter(1.0, 2.0);
+  const double b = std::nextafter(a, 2.0);
+  ASSERT_EQ(0.5 * (a + b), b);
+  const std::vector<std::vector<double>> x = {{a}, {a}, {b}, {b}};
+  const std::vector<double> y = {-1.0, -1.0, 4.0, 4.0};
+  DecisionTreeRegressor tree;
+  tree.fit(x, y);
+  ASSERT_EQ(tree.node_count(), 3u);
+  EXPECT_EQ(tree.node(0).threshold, a);
+  EXPECT_EQ(tree.node(static_cast<std::size_t>(tree.node(0).left)).samples, 2u);
+  EXPECT_EQ(tree.node(static_cast<std::size_t>(tree.node(0).right)).samples, 2u);
+  EXPECT_EQ(tree.mse(x, y), 0.0);
+  for (const auto& point : x) {
+    EXPECT_TRUE(tree.leaf_box(tree.decision_leaf(point)).contains(point));
+  }
 }
 
 TEST(RegressionTest, PredictBeforeFitThrows) {
