@@ -15,17 +15,26 @@
 // stream is printed afterwards. BM_CartFit adds the offline side of the
 // trade: the cost of distilling one tree (a CART fit over a bundle-sized
 // decision dataset), paid per extraction, VIPER round and redistill.
+// BM_SessionAdmission and BM_DtAdmission time the serving side around the
+// tree walk: admitting a 1e5-building fleet (SessionManager::open plus
+// TelemetryLog::register_session over 8 policy keys) and one DT
+// decision's session admission (begin_decision with an 8-deep history)
+// over that fleet in random order.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "adapt/telemetry.hpp"
 #include "bench_common.hpp"
 #include "common/rng.hpp"
 #include "control/action_space.hpp"
 #include "envlib/env.hpp"
+#include "serve/session_manager.hpp"
 #include "tree/cart.hpp"
 
 namespace {
@@ -120,11 +129,74 @@ void BM_CartFit(benchmark::State& state) {
   state.counters["leaves"] = static_cast<double>(leaves);
 }
 
+/// Fleet size and policy keys of the repo benchmark's DT serving stack.
+constexpr std::size_t kFleetSessions = 100000;
+
+std::vector<std::string> fleet_keys() {
+  std::vector<std::string> keys;
+  for (std::size_t k = 0; k < 8; ++k) keys.push_back("Pittsburgh/preset" + std::to_string(k));
+  return keys;
+}
+
+/// Admits the whole fleet: open + register_session per building into a
+/// fresh manager and log (their construction and teardown are untimed).
+/// items_per_second is sessions admitted per second.
+void BM_SessionAdmission(benchmark::State& state) {
+  const std::vector<std::string> keys = fleet_keys();
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto sessions = std::make_unique<serve::SessionManager>();
+    auto log = std::make_unique<adapt::TelemetryLog>();
+    state.ResumeTiming();
+    for (std::size_t i = 0; i < kFleetSessions; ++i) {
+      serve::SessionConfig config;
+      config.policy_key = keys[i % keys.size()];
+      config.seed = 0x5E55 + i;
+      const serve::SessionId id = sessions->open(config);
+      log->register_session(id, config.seed, config.policy_key);
+    }
+    state.PauseTiming();
+    sessions.reset();
+    log.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kFleetSessions));
+}
+
+/// One DT admission per iteration (begin_decision, history_limit 8) over
+/// the fleet in a seeded random order: the first pass allocates each
+/// session's history, later passes overwrite its ring in place.
+void BM_DtAdmission(benchmark::State& state) {
+  const std::vector<std::string> keys = fleet_keys();
+  serve::SessionManager sessions;
+  std::vector<serve::SessionId> order;
+  order.reserve(kFleetSessions);
+  for (std::size_t i = 0; i < kFleetSessions; ++i) {
+    serve::SessionConfig config;
+    config.policy_key = keys[i % keys.size()];
+    config.seed = 0x5E55 + i;
+    config.history_limit = 8;
+    order.push_back(sessions.open(config));
+  }
+  Rng rng(0xAD317);
+  for (std::size_t i = order.size(); i > 1; --i) std::swap(order[i - 1], order[rng.index(i)]);
+  const env::Observation obs;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        sessions.begin_decision(order[i], serve::RequestKind::kDtPolicy, obs));
+    if (++i == order.size()) i = 0;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
 BENCHMARK(BM_DefaultDecision)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_MbrlDecision)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ClueDecision)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DtDecision)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_CartFit)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SessionAdmission)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DtAdmission)->Unit(benchmark::kNanosecond);
 
 /// Paper-style mean/std over the whole decision stream (the paper's std is
 /// across decisions, which aggregate benchmark stats do not capture).

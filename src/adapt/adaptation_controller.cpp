@@ -98,17 +98,6 @@ void AdaptationController::attach_store(std::shared_ptr<TelemetryStore> store) {
 
 std::vector<AdaptationController::PendingTransition> AdaptationController::pair_records(
     const std::vector<TelemetryRecord>& records) {
-  // Session -> policy key, registered off the hot path at session open.
-  // Registrations are append-only, so the cached map is rebuilt only when
-  // the count moved — not per pump.
-  if (telemetry_->session_count() != session_keys_.size()) {
-    session_keys_.clear();
-    for (const TelemetrySession& session : telemetry_->sessions()) {
-      session_keys_[session.id] = session.policy_key;
-    }
-  }
-  const std::map<serve::SessionId, std::string>& keys = session_keys_;
-
   std::vector<PendingTransition> out;
   for (const TelemetryRecord& record : records) {
     // Pair with the session's previous decision: its observation is this
@@ -118,8 +107,8 @@ std::vector<AdaptationController::PendingTransition> AdaptationController::pair_
         pending_it->second.decision_index + 1 == record.decision_index) {
       const TelemetryRecord& prev = pending_it->second;
       PendingTransition item;
-      const auto key_it = keys.find(record.session);
-      item.key = key_it != keys.end() ? key_it->second : std::string("(unknown)");
+      // Session -> policy key, registered off the hot path at session open.
+      item.key = telemetry_->session_key(record.session).value_or("(unknown)");
       item.transition.input = prev.obs_vector();
       item.transition.action.heating_c = prev.heating_c;
       item.transition.action.cooling_c = prev.cooling_c;

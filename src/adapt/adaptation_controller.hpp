@@ -313,9 +313,6 @@ class AdaptationController {
   std::map<std::string, Cluster> clusters_;
   /// Last record per session, awaiting its successor for transition pairing.
   std::map<serve::SessionId, TelemetryRecord> pending_records_;
-  /// Session -> policy key cache (telemetry registrations are append-only;
-  /// refreshed only when the registration count changes).
-  std::map<serve::SessionId, std::string> session_keys_;
   std::vector<TelemetryRecord> drain_buffer_;
   std::vector<AdaptationReport> history_;
   Stats stats_;

@@ -13,6 +13,13 @@ std::size_t round_up_pow2(std::size_t n) {
   return p;
 }
 
+/// First entry of the id-sorted session table with id >= `id`.
+template <typename Sessions>
+auto find_session(Sessions& sessions, serve::SessionId id) {
+  return std::lower_bound(sessions.begin(), sessions.end(), id,
+                          [](const TelemetrySession& s, serve::SessionId v) { return s.id < v; });
+}
+
 // The seqlock protocol (see the header comment). Readers copy optimistically
 // and validate with the slot's sequence; the payload copy itself is a plain
 // memcpy of a trivially-copyable record, with fences pinning the compiler's
@@ -65,7 +72,17 @@ std::size_t TelemetryLog::capacity_per_shard() const { return slot_mask_ + 1; }
 void TelemetryLog::register_session(serve::SessionId id, std::uint64_t seed,
                                     const std::string& policy_key) {
   std::lock_guard<std::mutex> lock(sessions_mutex_);
-  sessions_[id] = TelemetrySession{id, seed, policy_key};
+  if (sessions_.empty() || sessions_.back().id < id) {
+    sessions_.push_back(TelemetrySession{id, seed, policy_key});
+    return;
+  }
+  const auto it = find_session(sessions_, id);
+  if (it != sessions_.end() && it->id == id) {
+    it->seed = seed;
+    it->policy_key = policy_key;
+  } else {
+    sessions_.insert(it, TelemetrySession{id, seed, policy_key});
+  }
 }
 
 std::size_t TelemetryLog::session_count() const {
@@ -75,13 +92,14 @@ std::size_t TelemetryLog::session_count() const {
 
 std::vector<TelemetrySession> TelemetryLog::sessions() const {
   std::lock_guard<std::mutex> lock(sessions_mutex_);
-  std::vector<TelemetrySession> out;
-  out.reserve(sessions_.size());
-  for (const auto& [id, session] : sessions_) {
-    (void)id;
-    out.push_back(session);
-  }
-  return out;
+  return sessions_;
+}
+
+std::optional<std::string> TelemetryLog::session_key(serve::SessionId id) const {
+  std::lock_guard<std::mutex> lock(sessions_mutex_);
+  const auto it = find_session(sessions_, id);
+  if (it == sessions_.end() || it->id != id) return std::nullopt;
+  return it->policy_key;
 }
 
 void TelemetryLog::on_decision(const serve::DecisionEvent& event) noexcept {

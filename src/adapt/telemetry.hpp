@@ -61,6 +61,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -184,12 +185,19 @@ class TelemetryLog : public serve::DecisionTap {
 
   /// Registers session metadata (seed + policy key) for the trace. Not on
   /// the serving path: call it when the session opens (the fleet harness's
-  /// on_session_open hook does).
+  /// on_session_open hook does). The table is an id-sorted vector: ids
+  /// from one SessionManager increase, so registration is an append; an
+  /// older id is inserted in place, and re-registering an id overwrites
+  /// its entry. Entries are never removed (closed and evicted sessions
+  /// stay), so the table grows with every session ever registered.
   void register_session(serve::SessionId id, std::uint64_t seed, const std::string& policy_key);
+  /// Registered sessions in ascending id order.
   std::vector<TelemetrySession> sessions() const;
   /// Registered-session count without copying the table (registrations
   /// only ever add, so a size change is a valid cache invalidator).
   std::size_t session_count() const;
+  /// Policy key registered for `id`, or nullopt if it never registered.
+  std::optional<std::string> session_key(serve::SessionId id) const;
 
   /// The tap: wait-free record of one decision (see file comment).
   void on_decision(const serve::DecisionEvent& event) noexcept override;
@@ -277,7 +285,7 @@ class TelemetryLog : public serve::DecisionTap {
   ObsHandles obs_;
 
   mutable std::mutex sessions_mutex_;
-  std::map<serve::SessionId, TelemetrySession> sessions_;
+  std::vector<TelemetrySession> sessions_;  ///< sorted by id
 };
 
 /// Record body layout version, stamped into every segment header (bumped

@@ -47,7 +47,7 @@ PolicySnapshot PolicyRegistry::lookup(const std::string& key) const {
 }
 
 PolicySnapshot PolicyRegistry::try_lookup(const std::string& key) const {
-  lookups_.fetch_add(1, std::memory_order_relaxed);
+  lookups_.add();
   std::shared_lock<std::shared_mutex> lock(mutex_);
   const auto it = entries_.find(key);
   return it == entries_.end() ? PolicySnapshot{} : it->second;

@@ -17,7 +17,6 @@
 //   * no lock is held while deciding, only while copying the pointer.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -26,6 +25,7 @@
 #include <vector>
 
 #include "core/dt_policy.hpp"
+#include "obs/metrics.hpp"
 
 namespace verihvac::serve {
 
@@ -61,13 +61,15 @@ class PolicyRegistry {
   std::vector<std::string> keys() const;
 
   /// Total lookup() / try_lookup() calls (hit or miss) — serving telemetry.
-  std::uint64_t lookup_count() const { return lookups_.load(std::memory_order_relaxed); }
+  /// Counted in per-thread padded shards (obs::Counter), so the DT fast
+  /// path does not bounce one shared cache line between client threads.
+  std::uint64_t lookup_count() const { return lookups_.value(); }
 
  private:
   mutable std::shared_mutex mutex_;
   std::map<std::string, PolicySnapshot> entries_;
   std::uint64_t next_version_ = 1;
-  mutable std::atomic<std::uint64_t> lookups_{0};
+  mutable obs::Counter lookups_;
 };
 
 }  // namespace verihvac::serve

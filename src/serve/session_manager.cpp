@@ -1,5 +1,6 @@
 #include "serve/session_manager.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -9,14 +10,13 @@ SessionManager::SessionManager(std::size_t shards) : shards_(shards == 0 ? 1 : s
 
 SessionId SessionManager::open(SessionConfig config) {
   const SessionId id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  SessionState state;
-  state.id = id;
-  state.config = std::move(config);
-  state.last_active = admissions_.load(std::memory_order_relaxed);
-  if (state.config.history_limit > 0) state.history.reserve(state.config.history_limit);
+  Session session;
+  session.state.id = id;
+  session.state.config = std::move(config);
+  session.state.last_active = admissions_.load(std::memory_order_relaxed);
   Shard& shard = shard_for(id);
   std::lock_guard<std::mutex> lock(shard.mutex);
-  shard.sessions.emplace(id, std::move(state));
+  shard.sessions.emplace(id, std::move(session));
   return id;
 }
 
@@ -36,7 +36,7 @@ std::size_t SessionManager::evict_idle(std::uint64_t max_idle_decisions,
       // A session stamped *after* the clock snapshot (concurrent
       // begin_decision) reads as last_active > now; it is maximally
       // fresh, never idle — the unsigned subtraction must not wrap.
-      const std::uint64_t last = it->second.last_active;
+      const std::uint64_t last = it->second.state.last_active;
       if (last <= now && now - last > max_idle_decisions) {
         if (evicted_ids != nullptr) evicted_ids->push_back(it->first);
         it = shard.sessions.erase(it);
@@ -72,7 +72,8 @@ DecisionTicket SessionManager::begin_decision(SessionId id, RequestKind kind,
   if (it == shard.sessions.end()) {
     throw std::out_of_range("SessionManager: unknown session " + std::to_string(id));
   }
-  SessionState& state = it->second;
+  Session& session = it->second;
+  SessionState& state = session.state;
   state.last_active = admissions_.fetch_add(1, std::memory_order_relaxed) + 1;
 
   DecisionTicket ticket;
@@ -87,11 +88,13 @@ DecisionTicket SessionManager::begin_decision(SessionId id, RequestKind kind,
   } else {
     ++state.mbrl_decisions;
   }
-  if (state.config.history_limit > 0) {
-    if (state.history.size() == state.config.history_limit) {
-      state.history.erase(state.history.begin());
-    }
+  const std::size_t limit = state.config.history_limit;
+  if (state.history.size() < limit) {
+    if (state.history.empty()) state.history.reserve(limit);
     state.history.push_back(obs);
+  } else if (limit > 0) {
+    state.history[session.oldest] = obs;
+    if (++session.oldest == limit) session.oldest = 0;
   }
   return ticket;
 }
@@ -103,7 +106,11 @@ SessionState SessionManager::snapshot(SessionId id) const {
   if (it == shard.sessions.end()) {
     throw std::out_of_range("SessionManager: unknown session " + std::to_string(id));
   }
-  return it->second;
+  SessionState state = it->second.state;
+  std::rotate(state.history.begin(),
+              state.history.begin() + static_cast<std::ptrdiff_t>(it->second.oldest),
+              state.history.end());
+  return state;
 }
 
 }  // namespace verihvac::serve

@@ -14,6 +14,13 @@
 //
 // The table is sharded: session ids hash to independent locks, so front-end
 // threads serving different buildings do not contend.
+//
+// Admission allocates only what a session uses. open() stores the config
+// and counters; the history buffer is allocated at the session's first
+// decision (history_limit observations, once) and, when full, the oldest
+// slot is overwritten in place — a ring, so no decision shifts the buffer.
+// An undecided session therefore holds no history, and a decided one at
+// most history_limit x sizeof(Observation).
 #pragma once
 
 #include <atomic>
@@ -110,9 +117,17 @@ class SessionManager {
   SessionState snapshot(SessionId id) const;
 
  private:
+  /// Internal per-session record. `state.history` is a ring once it holds
+  /// history_limit observations: `oldest` indexes its oldest slot, and
+  /// snapshot() rotates the copy oldest-first.
+  struct Session {
+    SessionState state;
+    std::size_t oldest = 0;
+  };
+
   struct Shard {
     mutable std::mutex mutex;
-    std::unordered_map<SessionId, SessionState> sessions;
+    std::unordered_map<SessionId, Session> sessions;
   };
 
   Shard& shard_for(SessionId id) { return shards_[id % shards_.size()]; }

@@ -132,6 +132,28 @@ TEST(TelemetryStoreTest, RotatedSegmentsLoadBackByteIdentical) {
   EXPECT_EQ(loaded.sessions[1].id, 2u);
 }
 
+TEST(TelemetryStoreTest, SessionFramesAreWrittenInIdOrder) {
+  const std::string dir = fresh_dir("verihvac_store_test_session_order");
+  auto log = std::make_shared<TelemetryLog>();
+  for (const serve::SessionId id : {4u, 1u, 3u, 2u}) log->register_session(id, 1000 + id, "toy");
+  {
+    TelemetryStore store(log, manual_config(dir));
+    for (serve::SessionId id = 1; id <= 4; ++id) emit(*log, id, 0, 18.0);
+    store.stop();
+  }
+
+  const std::vector<SegmentInfo> segments = list_segments(dir);
+  ASSERT_EQ(segments.size(), 1u);
+  TelemetryTrace frames;
+  read_segment(segments[0].path, frames);  // frame order, no re-sort
+  ASSERT_EQ(frames.sessions.size(), 4u);
+  for (std::size_t i = 0; i < frames.sessions.size(); ++i) {
+    EXPECT_EQ(frames.sessions[i].id, i + 1) << "session frame " << i;
+    EXPECT_EQ(frames.sessions[i].seed, 1001 + i);
+  }
+  EXPECT_EQ(frames.records.size(), 4u);
+}
+
 TEST(TelemetryStoreTest, TornTailIsTrimmedCountedAndPrefixRecovered) {
   const std::string dir = fresh_dir("verihvac_store_test_torn");
   auto log = std::make_shared<TelemetryLog>();

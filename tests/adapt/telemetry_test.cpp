@@ -226,6 +226,34 @@ TEST(TelemetryTraceTest, SaveLoadSaveIsByteIdentical) {
   std::remove(path_b.c_str());
 }
 
+TEST(TelemetryLogTest, SessionTableOrdersAndOverwrites) {
+  TelemetryLog log;
+  log.register_session(5, 5005, "five");
+  log.register_session(2, 2002, "two");
+  log.register_session(9, 9009, "nine");
+  log.register_session(1, 1001, "one");
+  log.register_session(7, 7007, "seven");
+  log.register_session(2, 2222, "two-again");  // re-registration overwrites
+  log.register_session(9, 9999, "nine-again");
+
+  const std::vector<TelemetrySession> sessions = log.sessions();
+  EXPECT_EQ(log.session_count(), 5u);
+  ASSERT_EQ(sessions.size(), 5u);
+  const std::vector<serve::SessionId> ids = {1, 2, 5, 7, 9};
+  for (std::size_t i = 0; i < ids.size(); ++i) EXPECT_EQ(sessions[i].id, ids[i]);
+  EXPECT_EQ(sessions[1].seed, 2222u);
+  EXPECT_EQ(sessions[1].policy_key, "two-again");
+  EXPECT_EQ(sessions[4].seed, 9999u);
+  EXPECT_EQ(sessions[4].policy_key, "nine-again");
+  EXPECT_EQ(sessions[2].seed, 5005u);
+
+  EXPECT_EQ(log.session_key(2).value_or(""), "two-again");
+  EXPECT_EQ(log.session_key(7).value_or(""), "seven");
+  EXPECT_FALSE(log.session_key(3).has_value());
+  EXPECT_FALSE(log.session_key(0).has_value());
+  EXPECT_FALSE(log.session_key(10).has_value());
+}
+
 TEST(TelemetryLogTest, SchemaTaggedEventsCarryTheSchemaShape) {
   TelemetryLog log;
   env::Observation obs = cold_occupied(17.5);

@@ -95,6 +95,30 @@ TEST(SessionManagerTest, ZeroHistoryLimitKeepsNothing) {
   EXPECT_TRUE(sessions.snapshot(id).history.empty());
 }
 
+TEST(SessionManagerTest, HistoryRingWrapsOldestFirst) {
+  // 3 x limit + 1 decisions wraps the ring three times and leaves its
+  // oldest slot one past the start; the snapshot must still read the last
+  // `limit` observations oldest first.
+  for (const std::size_t limit : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
+    SessionManager sessions;
+    SessionConfig config;
+    config.history_limit = limit;
+    const SessionId id = sessions.open(config);
+    EXPECT_TRUE(sessions.snapshot(id).history.empty()) << "limit " << limit;
+    const std::size_t decisions = 3 * limit + 1;
+    for (std::size_t i = 0; i < decisions; ++i) {
+      sessions.begin_decision(id, RequestKind::kDtPolicy,
+                              cold_occupied(/*zone_temp=*/static_cast<double>(i)));
+    }
+    const SessionState state = sessions.snapshot(id);
+    ASSERT_EQ(state.history.size(), limit) << "limit " << limit;
+    for (std::size_t k = 0; k < limit; ++k) {
+      EXPECT_EQ(state.history[k].zone_temp_c, static_cast<double>(decisions - limit + k))
+          << "limit " << limit << ", slot " << k;
+    }
+  }
+}
+
 TEST(SessionManagerTest, UnknownSessionThrows) {
   SessionManager sessions;
   EXPECT_THROW(sessions.begin_decision(999, RequestKind::kDtPolicy, cold_occupied()),
