@@ -15,6 +15,10 @@
 // stream is printed afterwards. BM_CartFit adds the offline side of the
 // trade: the cost of distilling one tree (a CART fit over a bundle-sized
 // decision dataset), paid per extraction, VIPER round and redistill.
+// BM_PredictBatch and BM_TrainEpochs time the {32,32} dynamics MLP that
+// every offline stage runs through: batched inference at 21, 108 and 512
+// rows per call (rows/s), and one training run of the repo benchmark's
+// set-up shape (672 rows, 20 epochs; rows x epochs per second).
 // BM_SessionAdmission and BM_DtAdmission time the serving side around the
 // tree walk: admitting a 1e5-building fleet (SessionManager::open plus
 // TelemetryLog::register_session over 8 policy keys) and one DT
@@ -33,6 +37,7 @@
 #include "bench_common.hpp"
 #include "common/rng.hpp"
 #include "control/action_space.hpp"
+#include "dynamics/dynamics_model.hpp"
 #include "envlib/env.hpp"
 #include "serve/session_manager.hpp"
 #include "tree/cart.hpp"
@@ -129,6 +134,58 @@ void BM_CartFit(benchmark::State& state) {
   state.counters["leaves"] = static_cast<double>(leaves);
 }
 
+/// A seeded transition set with the baseline schema's input layout (the
+/// values only need to be finite: the kernels' cost is data-independent).
+dyn::TransitionDataset synthetic_transitions(std::size_t rows) {
+  Rng rng(0x7A1);
+  dyn::TransitionDataset data;
+  for (std::size_t i = 0; i < rows; ++i) {
+    dyn::Transition t;
+    t.input = {rng.uniform(14.0, 28.0), rng.uniform(-10.0, 15.0), rng.uniform(20.0, 90.0),
+               rng.uniform(0.0, 8.0),   rng.uniform(0.0, 500.0),  rng.uniform(0.0, 11.0)};
+    t.action = {rng.uniform(15.0, 23.0), rng.uniform(23.0, 30.0)};
+    t.next_zone_temp = t.input[0] + 0.1 * (t.input[1] - t.input[0]);
+    data.add(t);
+  }
+  return data;
+}
+
+/// Batched predict_batch_into over state.range(0) rows per call on a
+/// trained {32,32} model. items_per_second is rows per second.
+void BM_PredictBatch(benchmark::State& state) {
+  static const dyn::DynamicsModel model = [] {
+    dyn::DynamicsModelConfig config;
+    config.trainer.epochs = 2;
+    dyn::DynamicsModel m(config);
+    m.train(synthetic_transitions(672));
+    return m;
+  }();
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  const dyn::TransitionDataset data = synthetic_transitions(rows);
+  const Matrix inputs = data.inputs();
+  dyn::BatchScratch scratch;
+  std::vector<double> next;
+  for (auto _ : state) {
+    model.predict_batch_into(inputs, next, scratch);
+    benchmark::DoNotOptimize(next.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(rows));
+}
+
+/// One full training run in the repo benchmark's set-up shape: {32,32},
+/// 672 transitions, 20 epochs. items_per_second is rows x epochs per
+/// second (perfbench's nn.train_rows_per_s).
+void BM_TrainEpochs(benchmark::State& state) {
+  const dyn::TransitionDataset data = synthetic_transitions(672);
+  dyn::DynamicsModelConfig config;
+  config.trainer.epochs = 20;
+  for (auto _ : state) {
+    dyn::DynamicsModel model(config);
+    benchmark::DoNotOptimize(model.train(data).final_train_loss);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(data.size()) * 20);
+}
+
 /// Fleet size and policy keys of the repo benchmark's DT serving stack.
 constexpr std::size_t kFleetSessions = 100000;
 
@@ -195,6 +252,8 @@ BENCHMARK(BM_MbrlDecision)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ClueDecision)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DtDecision)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_CartFit)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PredictBatch)->Arg(21)->Arg(108)->Arg(512)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_TrainEpochs)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SessionAdmission)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DtAdmission)->Unit(benchmark::kNanosecond);
 

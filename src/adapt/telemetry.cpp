@@ -74,6 +74,7 @@ void TelemetryLog::register_session(serve::SessionId id, std::uint64_t seed,
   std::lock_guard<std::mutex> lock(sessions_mutex_);
   if (sessions_.empty() || sessions_.back().id < id) {
     sessions_.push_back(TelemetrySession{id, seed, policy_key});
+    registration_order_.push_back(id);
     return;
   }
   const auto it = find_session(sessions_, id);
@@ -82,6 +83,7 @@ void TelemetryLog::register_session(serve::SessionId id, std::uint64_t seed,
     it->policy_key = policy_key;
   } else {
     sessions_.insert(it, TelemetrySession{id, seed, policy_key});
+    registration_order_.push_back(id);
   }
 }
 
@@ -93,6 +95,22 @@ std::size_t TelemetryLog::session_count() const {
 std::vector<TelemetrySession> TelemetryLog::sessions() const {
   std::lock_guard<std::mutex> lock(sessions_mutex_);
   return sessions_;
+}
+
+std::size_t TelemetryLog::sessions_since(std::size_t cursor,
+                                         std::vector<TelemetrySession>& out) const {
+  std::lock_guard<std::mutex> lock(sessions_mutex_);
+  if (cursor == 0) {
+    out = sessions_;  // every session: the table is already in id order
+    return registration_order_.size();
+  }
+  out.clear();
+  for (std::size_t i = cursor; i < registration_order_.size(); ++i) {
+    out.push_back(*find_session(sessions_, registration_order_[i]));
+  }
+  std::sort(out.begin(), out.end(),
+            [](const TelemetrySession& a, const TelemetrySession& b) { return a.id < b.id; });
+  return registration_order_.size();
 }
 
 std::optional<std::string> TelemetryLog::session_key(serve::SessionId id) const {

@@ -196,6 +196,12 @@ class TelemetryLog : public serve::DecisionTap {
   /// Registered-session count without copying the table (registrations
   /// only ever add, so a size change is a valid cache invalidator).
   std::size_t session_count() const;
+  /// Replaces `out` with the sessions whose ids were first registered at
+  /// or after registration number `cursor` (0: every session), in
+  /// ascending id order, and returns the cursor that continues after them
+  /// (the session_count() of that moment). Re-registering a known id does
+  /// not make it new again.
+  std::size_t sessions_since(std::size_t cursor, std::vector<TelemetrySession>& out) const;
   /// Policy key registered for `id`, or nullopt if it never registered.
   std::optional<std::string> session_key(serve::SessionId id) const;
 
@@ -286,6 +292,7 @@ class TelemetryLog : public serve::DecisionTap {
 
   mutable std::mutex sessions_mutex_;
   std::vector<TelemetrySession> sessions_;  ///< sorted by id
+  std::vector<serve::SessionId> registration_order_;  ///< ids by first registration
 };
 
 /// Record body layout version, stamped into every segment header (bumped

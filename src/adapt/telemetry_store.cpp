@@ -559,8 +559,8 @@ void TelemetryStore::open_segment() {
 
   // Self-contained segments: every session known so far is written into
   // the fresh segment before any of its records.
-  for (const TelemetrySession& session : log_->sessions()) append_session_frame(session);
-  sessions_written_ = session_ids_in_active_.size();
+  session_cursor_ = log_->sessions_since(0, session_buffer_);
+  for (const TelemetrySession& session : session_buffer_) append_session_frame(session);
   refresh_segment_gauge_locked();
 }
 
@@ -671,13 +671,14 @@ void TelemetryStore::pump_once() {
 }
 
 void TelemetryStore::persist_locked() {
-  if (!drain_buffer_.empty() || log_->session_count() > sessions_written_) {
+  if (!drain_buffer_.empty() || log_->session_count() > session_cursor_) {
     if (active_ == nullptr) open_segment();
-    // New sessions registered since the segment opened get their frames
-    // before the records that may reference them.
-    if (log_->session_count() > sessions_written_) {
-      for (const TelemetrySession& session : log_->sessions()) append_session_frame(session);
-      sessions_written_ = std::max(sessions_written_, session_ids_in_active_.size());
+    // Sessions registered since the last persist get their frames, in id
+    // order, before the records that may reference them. Only the new
+    // ones are fetched: the table itself is never walked here.
+    if (log_->session_count() > session_cursor_) {
+      session_cursor_ = log_->sessions_since(session_cursor_, session_buffer_);
+      for (const TelemetrySession& session : session_buffer_) append_session_frame(session);
     }
     for (const TelemetryRecord& record : drain_buffer_) {
       // Per-record rotation check: one oversized drain batch still splits

@@ -245,8 +245,11 @@ class TelemetryStore {
   mutable std::mutex mutex_;  ///< guards everything below
   std::unique_ptr<ActiveSegment> active_;
   std::uint64_t next_seq_ = 0;          ///< store-lifetime record sequence
-  std::size_t sessions_written_ = 0;    ///< log session-table prefix already persisted
+  /// TelemetryLog::sessions_since cursor: every session registered before
+  /// it has its frame in the active segment.
+  std::size_t session_cursor_ = 0;
   std::set<serve::SessionId> session_ids_in_active_;
+  std::vector<TelemetrySession> session_buffer_;  ///< reused sessions_since output
   std::set<serve::SessionId> evicted_;
   std::vector<TelemetryRecord> drain_buffer_;
   std::string frame_buffer_;  ///< reused per-frame serialization scratch

@@ -1,6 +1,8 @@
 #include "common/matrix.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
 namespace verihvac {
 
@@ -73,62 +75,78 @@ Matrix Matrix::multiply(const Matrix& a, const Matrix& b) {
   return c;
 }
 
-void Matrix::multiply_into(const Matrix& a, const Matrix& b, Matrix& c) {
-  assert(a.cols() == b.rows() && "multiply_into: inner dimensions disagree");
-  assert(&c != &a && &c != &b && "multiply_into: output aliases an input");
-  c.resize(a.rows(), b.cols());
-  // Blocked i-k-j: the inner loop is contiguous in both b and c; the i/k
-  // tiles keep at most kTile rows of b hot while a's tile is streamed.
-  // Walking k-tiles (and k within a tile) in ascending order preserves the
-  // unblocked kernel's accumulation order exactly, so delegating
-  // multiply() here changes no bits.
-  constexpr std::size_t kTile = 64;
-  for (std::size_t i0 = 0; i0 < a.rows(); i0 += kTile) {
-    const std::size_t i1 = std::min(i0 + kTile, a.rows());
-    for (std::size_t k0 = 0; k0 < a.cols(); k0 += kTile) {
-      const std::size_t k1 = std::min(k0 + kTile, a.cols());
-      for (std::size_t i = i0; i < i1; ++i) {
-        double* crow = c.row_data(i);
-        for (std::size_t k = k0; k < k1; ++k) {
-          const double aik = a(i, k);
-          if (aik == 0.0) continue;
-          const double* brow = b.row_data(k);
-          for (std::size_t j = 0; j < b.cols(); ++j) crow[j] += aik * brow[j];
-        }
+namespace {
+
+constexpr std::size_t kProductRows = 4;   // rows of C per register tile
+constexpr std::size_t kProductCols = 32;  // columns of C per register tile
+constexpr std::size_t kNarrowCols = 8;    // tile width for narrow B (input layers)
+
+/// One register tile of C = op(A) * B: kR rows from `i0`, kW columns from
+/// `j0` (kW == 0: a runtime `width` < kNarrowCols for the last tile).
+template <bool kTransposeA, std::size_t kR, std::size_t kW>
+void product_tile(const Matrix& a, const Matrix& b, Matrix& c, std::size_t i0, std::size_t j0,
+                  std::size_t width) {
+  const std::size_t w = kW != 0 ? kW : width;
+  const std::size_t inner = b.rows();
+  double acc[kR][kW != 0 ? kW : kNarrowCols] = {};
+  for (std::size_t k = 0; k < inner; ++k) {
+    const double* __restrict brow = b.row_data(k) + j0;
+    for (std::size_t r = 0; r < kR; ++r) {
+      const double aik = kTransposeA ? a(k, i0 + r) : a(i0 + r, k);
+      const std::uint64_t keep = aik == 0.0 ? 0 : ~std::uint64_t{0};
+      for (std::size_t j = 0; j < w; ++j) {
+        acc[r][j] += std::bit_cast<double>(std::bit_cast<std::uint64_t>(aik * brow[j]) & keep);
       }
     }
   }
+  for (std::size_t r = 0; r < kR; ++r) {
+    for (std::size_t j = 0; j < w; ++j) c(i0 + r, j0 + j) = acc[r][j];
+  }
 }
 
-Matrix Matrix::multiply_at_b(const Matrix& a, const Matrix& b) {
+template <bool kTransposeA, std::size_t kR>
+void product_rows(const Matrix& a, const Matrix& b, Matrix& c, std::size_t i0) {
+  std::size_t j0 = 0;
+  for (; j0 + kProductCols <= c.cols(); j0 += kProductCols) {
+    product_tile<kTransposeA, kR, kProductCols>(a, b, c, i0, j0, 0);
+  }
+  for (; j0 + kNarrowCols <= c.cols(); j0 += kNarrowCols) {
+    product_tile<kTransposeA, kR, kNarrowCols>(a, b, c, i0, j0, 0);
+  }
+  if (j0 < c.cols()) product_tile<kTransposeA, kR, 0>(a, b, c, i0, j0, c.cols() - j0);
+}
+
+/// C = op(A) * B with op(A) = A or A^T, in register tiles of 4 rows x 32
+/// columns of C (8-column tiles for narrow B, 1-row tiles for the
+/// remainder rows). Every element sums from 0.0 over k ascending and
+/// skips the terms whose op(A) entry is zero. The skip is a bit mask, not
+/// a branch: the ReLU-masked gradients these products see are about half
+/// zeros in no pattern, which a branch would mispredict. A masked term is
+/// +0.0, and adding +0.0 changes no bits, because a sum that starts at
+/// +0.0 can never become -0.0.
+template <bool kTransposeA>
+void product_into(const Matrix& a, const Matrix& b, Matrix& c) {
+  const std::size_t m = kTransposeA ? a.cols() : a.rows();
+  c.reshape(m, b.cols());  // every element is written below
+  std::size_t i0 = 0;
+  for (; i0 + kProductRows <= m; i0 += kProductRows) {
+    product_rows<kTransposeA, kProductRows>(a, b, c, i0);
+  }
+  for (; i0 < m; ++i0) product_rows<kTransposeA, 1>(a, b, c, i0);
+}
+
+}  // namespace
+
+void Matrix::multiply_into(const Matrix& a, const Matrix& b, Matrix& c) {
+  assert(a.cols() == b.rows() && "multiply_into: inner dimensions disagree");
+  assert(&c != &a && &c != &b && "multiply_into: output aliases an input");
+  product_into<false>(a, b, c);
+}
+
+void Matrix::multiply_at_b_into(const Matrix& a, const Matrix& b, Matrix& c) {
   assert(a.rows() == b.rows());
-  Matrix c(a.cols(), b.cols());
-  for (std::size_t k = 0; k < a.rows(); ++k) {
-    const double* arow = a.row_data(k);
-    const double* brow = b.row_data(k);
-    for (std::size_t i = 0; i < a.cols(); ++i) {
-      const double aki = arow[i];
-      if (aki == 0.0) continue;
-      double* crow = c.row_data(i);
-      for (std::size_t j = 0; j < b.cols(); ++j) crow[j] += aki * brow[j];
-    }
-  }
-  return c;
-}
-
-Matrix Matrix::multiply_a_bt(const Matrix& a, const Matrix& b) {
-  assert(a.cols() == b.cols());
-  Matrix c(a.rows(), b.rows());
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const double* arow = a.row_data(i);
-    for (std::size_t j = 0; j < b.rows(); ++j) {
-      const double* brow = b.row_data(j);
-      double sum = 0.0;
-      for (std::size_t k = 0; k < a.cols(); ++k) sum += arow[k] * brow[k];
-      c(i, j) = sum;
-    }
-  }
-  return c;
+  assert(&c != &a && &c != &b && "multiply_at_b_into: output aliases an input");
+  product_into<true>(a, b, c);
 }
 
 Matrix operator+(Matrix a, const Matrix& b) { return a += b; }

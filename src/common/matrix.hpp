@@ -81,17 +81,16 @@ class Matrix {
   /// C = A * B (asserts inner dimensions agree).
   static Matrix multiply(const Matrix& a, const Matrix& b);
   /// Allocation-free C = A * B into caller-owned `c` (resized in place,
-  /// reusing capacity). Cache-blocked i-k-j kernel: the inner loop is
-  /// contiguous in both B and C, and i/k tiling bounds the working set of
-  /// B so large products stay in cache. k-tiles are walked in ascending
-  /// order, so every C element accumulates in exactly the same order as
-  /// the unblocked kernel — results are bit-identical to multiply().
-  /// `c` must not alias `a` or `b`.
+  /// reusing capacity), register-tiled for the small products of MLP
+  /// backward passes. Every C element accumulates from 0.0 over k in
+  /// ascending order, skipping zero entries of A; multiply() returns the
+  /// same bits. `c` must not alias `a` or `b`.
   static void multiply_into(const Matrix& a, const Matrix& b, Matrix& c);
-  /// C = A^T * B without materializing the transpose.
-  static Matrix multiply_at_b(const Matrix& a, const Matrix& b);
-  /// C = A * B^T without materializing the transpose.
-  static Matrix multiply_a_bt(const Matrix& a, const Matrix& b);
+  /// Allocation-free C = A^T * B into caller-owned `c` (resized in place,
+  /// reusing capacity) without materializing the transpose. Every C
+  /// element accumulates from 0.0 over the rows of A in ascending order,
+  /// skipping zero entries of A. `c` must not alias `a` or `b`.
+  static void multiply_at_b_into(const Matrix& a, const Matrix& b, Matrix& c);
 
  private:
   std::size_t rows_ = 0;

@@ -16,6 +16,7 @@ DynamicsModel::DynamicsModel(DynamicsModelConfig config) : config_(std::move(con
   network_ = std::make_unique<nn::Mlp>(widths);
   Rng rng(config_.init_seed);
   network_->init(rng);
+  network_->pack_into(packed_);
 }
 
 nn::TrainingReport DynamicsModel::train(const TransitionDataset& data) {
@@ -52,6 +53,7 @@ nn::TrainingReport DynamicsModel::train(const TransitionDataset& data) {
   }
 
   const nn::TrainingReport report = nn::train(*network_, inputs, deltas, config_.trainer);
+  network_->pack_into(packed_);
   trained_ = true;
   return report;
 }
@@ -59,6 +61,7 @@ nn::TrainingReport DynamicsModel::train(const TransitionDataset& data) {
 DynamicsModel::DynamicsModel(const DynamicsModel& other)
     : config_(other.config_),
       network_(std::make_unique<nn::Mlp>(*other.network_)),
+      packed_(other.packed_),
       input_norm_(other.input_norm_),
       delta_mean_(other.delta_mean_),
       delta_std_(other.delta_std_),
@@ -82,7 +85,9 @@ nn::TrainingReport DynamicsModel::fine_tune(const TransitionDataset& data, std::
   nn::TrainerConfig trainer = config_.trainer;
   trainer.epochs = epochs;
   trainer.shuffle_seed = config_.trainer.shuffle_seed + 0x5DEECE66Dull * (shuffle_salt + 1);
-  return nn::train(*network_, inputs, deltas, trainer);
+  const nn::TrainingReport report = nn::train(*network_, inputs, deltas, trainer);
+  network_->pack_into(packed_);
+  return report;
 }
 
 double DynamicsModel::predict(const std::vector<double>& x,
@@ -130,7 +135,7 @@ void DynamicsModel::predict_batch_into(const Matrix& model_inputs,
   const std::size_t n = model_inputs.rows();
   const std::size_t zone_dim = zone_temp_index();
   input_norm_.transform_into(model_inputs, scratch.normed);
-  network_->forward_into(scratch.normed, scratch.delta, scratch.net);
+  network_->forward_into(scratch.normed, packed_, scratch.delta, scratch.net);
   next_temps.resize(n);
   for (std::size_t r = 0; r < n; ++r) {
     const double delta = scratch.delta(r, 0) * delta_std_ + delta_mean_;

@@ -126,6 +126,10 @@ class DynamicsModel {
  private:
   DynamicsModelConfig config_;
   std::unique_ptr<nn::Mlp> network_;
+  /// network_'s W^T for predict_batch_into. The network changes only in
+  /// the constructors, train() and fine_tune(), and each ends by
+  /// repacking (network() is const), so this copy cannot go stale.
+  nn::PackedWeights packed_;
   nn::Normalizer input_norm_;
   double delta_mean_ = 0.0;
   double delta_std_ = 1.0;

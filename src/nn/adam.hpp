@@ -31,12 +31,15 @@ class Adam {
   std::size_t steps_taken() const { return t_; }
 
  private:
-  // Parameter/gradient views over all layers, flattened.
-  struct Slot {
+  // One contiguous parameter array and its gradient per weight or bias
+  // matrix, in layer order; m_/v_ hold the moments of all of them back to
+  // back in the same order.
+  struct Block {
     double* param;
     const double* grad;
+    std::size_t size;
   };
-  std::vector<Slot> slots_;
+  std::vector<Block> blocks_;
   std::vector<double> m_;
   std::vector<double> v_;
   AdamConfig config_;

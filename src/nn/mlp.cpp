@@ -26,22 +26,22 @@ void Mlp::init(Rng& rng) {
   for (auto& layer : layers_) layer.init(rng);
 }
 
-Matrix Mlp::forward(const Matrix& input) {
-  Matrix x = input;
+const Matrix& Mlp::forward(const Matrix& input) {
+  const Matrix* x = &input;
   for (std::size_t i = 0; i < layers_.size(); ++i) {
-    x = layers_[i].forward(x);
-    if (i < activations_.size()) x = activations_[i].forward(x);
+    x = &layers_[i].forward(*x);
+    if (i < activations_.size()) x = &activations_[i].forward(*x);
   }
-  return x;
+  return *x;
 }
 
-Matrix Mlp::backward(const Matrix& grad_output) {
-  Matrix grad = grad_output;
+const Matrix& Mlp::backward(const Matrix& grad_output) {
+  const Matrix* grad = &grad_output;
   for (std::size_t i = layers_.size(); i-- > 0;) {
-    if (i < activations_.size()) grad = activations_[i].backward(grad);
-    grad = layers_[i].backward(grad);
+    if (i < activations_.size()) grad = &activations_[i].backward(*grad);
+    grad = &layers_[i].backward(*grad);
   }
-  return grad;
+  return *grad;
 }
 
 void Mlp::zero_grad() {
@@ -79,25 +79,35 @@ void Mlp::predict(const std::vector<double>& input, std::vector<double>& output,
   if (src != &output) output = *src;
 }
 
-void Mlp::forward_into(const Matrix& input, Matrix& out, BatchScratch& scratch) const {
+void Mlp::forward_into(const Matrix& input, const PackedWeights& packed, Matrix& out,
+                       BatchScratch& scratch) const {
   assert(input.cols() == input_dim());
+  assert(packed.wt.size() == layers_.size());
   // Same ping-pong as predict(), lifted to whole batches: layer li reads
-  // one scratch matrix and writes the other, ReLU runs in place on the
-  // freshly written buffer, and the final (narrow) activation is copied
-  // into `out` once.
+  // one scratch matrix and writes the other with ReLU fused into the
+  // store; the last layer writes straight into `out`.
   const Matrix* src = &input;
   Matrix* buffers[2] = {&scratch.a, &scratch.b};
   int which = 0;
-  scratch.wt.resize(layers_.size());
-
   for (std::size_t li = 0; li < layers_.size(); ++li) {
-    Matrix* dst = buffers[which];
+    const bool last = li + 1 == layers_.size();
+    Matrix* dst = last ? &out : buffers[which];
     which ^= 1;
-    layers_[li].forward_into(*src, *dst, scratch.wt[li]);
-    if (li < activations_.size()) activations_[li].forward_inplace(*dst);
+    layers_[li].forward_into(*src, packed.wt[li], *dst, !last);
     src = dst;
   }
-  out = *src;  // vector copy-assign: reuses out's capacity
+}
+
+void Mlp::forward_into(const Matrix& input, Matrix& out, BatchScratch& scratch) const {
+  pack_into(scratch.staged);
+  forward_into(input, scratch.staged, out, scratch);
+}
+
+void Mlp::pack_into(PackedWeights& packed) const {
+  packed.wt.resize(layers_.size());
+  for (std::size_t li = 0; li < layers_.size(); ++li) {
+    layers_[li].transpose_weight_into(packed.wt[li]);
+  }
 }
 
 std::vector<double> Mlp::parameters() const {

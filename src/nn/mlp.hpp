@@ -12,6 +12,14 @@
 
 namespace verihvac::nn {
 
+/// Every layer's transposed weights (in x out): the layout the batched
+/// inference kernel reads (Linear::forward_into). A snapshot — it does
+/// not follow later weight changes, so its owner rebuilds it (pack_into)
+/// whenever the network's weights change.
+struct PackedWeights {
+  std::vector<Matrix> wt;
+};
+
 /// Caller-owned ping-pong activation matrices for the allocation-free
 /// batched inference path (same ownership convention as IbpScratch /
 /// dyn::PredictScratch: the network stays const, so one scratch per worker
@@ -20,8 +28,8 @@ namespace verihvac::nn {
 struct BatchScratch {
   Matrix a;
   Matrix b;
-  /// Per-layer transposed-weight staging (see Linear::forward_into).
-  std::vector<Matrix> wt;
+  /// W^T staged per call by the forward_into overload without a packed copy.
+  PackedWeights staged;
 };
 
 class Mlp {
@@ -35,10 +43,12 @@ class Mlp {
 
   void init(Rng& rng);
 
-  /// Batched forward (training / vectorized rollouts).
-  Matrix forward(const Matrix& input);
-  /// Backward from dL/dY; returns dL/dX (gradients accumulate in layers).
-  Matrix backward(const Matrix& grad_output);
+  /// Training forward: caches what backward() needs. The result lives in
+  /// the network's scratch until the next forward().
+  const Matrix& forward(const Matrix& input);
+  /// Backward from dL/dY; returns dL/dX (gradients accumulate in layers),
+  /// valid until the next backward().
+  const Matrix& backward(const Matrix& grad_output);
   void zero_grad();
 
   /// Allocation-free single-sample inference into caller-provided scratch.
@@ -52,8 +62,16 @@ class Mlp {
   /// Row r of the result is bit-identical to predict() on row r — the
   /// batched Linear kernel keeps the scalar path's accumulation order (see
   /// Linear::forward_into), which rollout/verification equivalence tests
-  /// lock in. `out` must not alias `input` or the scratch buffers.
+  /// lock in. `packed` must be this network's current pack_into() result;
+  /// `out` must not alias `input` or the scratch buffers.
+  void forward_into(const Matrix& input, const PackedWeights& packed, Matrix& out,
+                    BatchScratch& scratch) const;
+  /// Same kernel for callers without a packed copy (tests, one-off calls):
+  /// stages W^T into `scratch` first.
   void forward_into(const Matrix& input, Matrix& out, BatchScratch& scratch) const;
+
+  /// Writes every layer's current W^T into `packed`.
+  void pack_into(PackedWeights& packed) const;
 
   std::vector<Linear>& layers() { return layers_; }
   const std::vector<Linear>& layers() const { return layers_; }

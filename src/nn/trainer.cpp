@@ -18,22 +18,23 @@ double mse_loss(const Matrix& prediction, const Matrix& target) {
   return sum / static_cast<double>(prediction.data().size());
 }
 
-Matrix mse_gradient(const Matrix& prediction, const Matrix& target) {
-  Matrix grad = prediction;
-  grad -= target;
-  grad *= 2.0 / static_cast<double>(prediction.data().size());
-  return grad;
+void mse_gradient(const Matrix& prediction, const Matrix& target, Matrix& grad) {
+  assert(prediction.rows() == target.rows() && prediction.cols() == target.cols());
+  grad.reshape(prediction.rows(), prediction.cols());
+  const double scale = 2.0 / static_cast<double>(prediction.data().size());
+  for (std::size_t i = 0; i < prediction.data().size(); ++i) {
+    grad.data()[i] = (prediction.data()[i] - target.data()[i]) * scale;
+  }
 }
 
 namespace {
 
-Matrix gather_rows(const Matrix& data, const std::vector<std::size_t>& indices,
-                   std::size_t begin, std::size_t end) {
-  Matrix out(end - begin, data.cols());
+void gather_rows(const Matrix& data, const std::vector<std::size_t>& indices, std::size_t begin,
+                 std::size_t end, Matrix& out) {
+  out.reshape(end - begin, data.cols());
   for (std::size_t i = begin; i < end; ++i) {
     for (std::size_t c = 0; c < data.cols(); ++c) out(i - begin, c) = data(indices[i], c);
   }
-  return out;
 }
 
 }  // namespace
@@ -54,8 +55,15 @@ TrainingReport train(Mlp& model, const Matrix& inputs, const Matrix& targets,
   std::vector<std::size_t> train_idx(perm.begin(), perm.begin() + static_cast<long>(train_count));
   std::vector<std::size_t> val_idx(perm.begin() + static_cast<long>(train_count), perm.end());
 
-  const Matrix val_x = gather_rows(inputs, val_idx, 0, val_idx.size());
-  const Matrix val_y = gather_rows(targets, val_idx, 0, val_idx.size());
+  Matrix val_x;
+  Matrix val_y;
+  gather_rows(inputs, val_idx, 0, val_idx.size(), val_x);
+  gather_rows(targets, val_idx, 0, val_idx.size(), val_y);
+
+  // Minibatch buffers, reused by every step.
+  Matrix bx;
+  Matrix by;
+  Matrix grad;
 
   TrainingReport report;
   for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
@@ -67,22 +75,22 @@ TrainingReport train(Mlp& model, const Matrix& inputs, const Matrix& targets,
     std::size_t batches = 0;
     for (std::size_t begin = 0; begin < train_count; begin += config.batch_size) {
       const std::size_t end = std::min(begin + config.batch_size, train_count);
-      const Matrix bx = gather_rows(inputs, train_idx, begin, end);
-      const Matrix by = gather_rows(targets, train_idx, begin, end);
+      gather_rows(inputs, train_idx, begin, end, bx);
+      gather_rows(targets, train_idx, begin, end, by);
 
       model.zero_grad();
-      const Matrix pred = model.forward(bx);
+      const Matrix& pred = model.forward(bx);
       epoch_loss += mse_loss(pred, by);
       ++batches;
-      model.backward(mse_gradient(pred, by));
+      mse_gradient(pred, by, grad);
+      model.backward(grad);
       optimizer.step();
     }
     report.train_loss_per_epoch.push_back(epoch_loss / static_cast<double>(std::max<std::size_t>(batches, 1)));
     if (val_idx.empty()) {
       report.val_loss_per_epoch.push_back(report.train_loss_per_epoch.back());
     } else {
-      Matrix val_pred = model.forward(val_x);
-      report.val_loss_per_epoch.push_back(mse_loss(val_pred, val_y));
+      report.val_loss_per_epoch.push_back(mse_loss(model.forward(val_x), val_y));
     }
   }
   report.final_train_loss =

@@ -31,12 +31,15 @@ struct TrainingReport {
 
 /// Mean squared error over all elements.
 double mse_loss(const Matrix& prediction, const Matrix& target);
-/// Gradient of MSE w.r.t. prediction (2*(pred - target)/N).
-Matrix mse_gradient(const Matrix& prediction, const Matrix& target);
+/// Gradient of MSE w.r.t. prediction, (pred - target) * (2/N), into `grad`
+/// (resized in place, reusing capacity).
+void mse_gradient(const Matrix& prediction, const Matrix& target, Matrix& grad);
 
 /// Trains `model` in place on (inputs, targets); rows are samples. Inputs
 /// and targets are expected pre-normalized by the caller (see
-/// dynamics::DynamicsModel for the end-to-end wrapper).
+/// dynamics::DynamicsModel for the end-to-end wrapper). Minibatch steps
+/// reuse one set of buffers, so the epoch loop allocates nothing once
+/// they have grown to the batch size.
 TrainingReport train(Mlp& model, const Matrix& inputs, const Matrix& targets,
                      const TrainerConfig& config);
 

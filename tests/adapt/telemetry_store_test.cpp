@@ -154,6 +154,49 @@ TEST(TelemetryStoreTest, SessionFramesAreWrittenInIdOrder) {
   EXPECT_EQ(frames.records.size(), 4u);
 }
 
+TEST(TelemetryStoreTest, NewRegistrationsAppendOnlyTheirSessionFrames) {
+  // A pump after registrations over a large table appends frames for the
+  // new sessions only — one registration, one frame — in id order, with
+  // an older id inserted mid-table and a re-registered id writing none.
+  const std::string dir = fresh_dir("verihvac_store_test_new_sessions");
+  constexpr serve::SessionId kTable = 50000;
+  auto log = std::make_shared<TelemetryLog>();
+  for (serve::SessionId id = 10; id < 10 + kTable; ++id) {
+    log->register_session(id, 1000 + id, "toy");
+  }
+  {
+    TelemetryStore store(log, manual_config(dir));
+    emit(*log, 10, 0, 18.0);
+    store.pump_once();
+
+    log->register_session(10 + kTable, 7, "toy");
+    store.pump_once();
+    const std::uint64_t bytes_after_one = store.stats().bytes_written;
+
+    log->register_session(11, 8, "toy");  // known id: no new frame
+    store.pump_once();
+    EXPECT_EQ(store.stats().bytes_written, bytes_after_one);
+
+    log->register_session(20 + kTable, 9, "toy");
+    log->register_session(5, 9, "toy");
+    log->register_session(7, 9, "toy");
+    store.pump_once();
+    store.stop();
+  }
+
+  const std::vector<SegmentInfo> segments = list_segments(dir);
+  ASSERT_EQ(segments.size(), 1u);
+  TelemetryTrace frames;
+  read_segment(segments[0].path, frames);  // frame order, no re-sort
+  ASSERT_EQ(frames.sessions.size(), kTable + 4);
+  for (serve::SessionId i = 0; i < kTable; ++i) ASSERT_EQ(frames.sessions[i].id, 10 + i);
+  const std::vector<serve::SessionId> tail = {10 + kTable, 5, 7, 20 + kTable};
+  for (std::size_t i = 0; i < tail.size(); ++i) {
+    EXPECT_EQ(frames.sessions[kTable + i].id, tail[i]) << "appended frame " << i;
+  }
+  EXPECT_EQ(frames.records.size(), 1u);
+}
+
 TEST(TelemetryStoreTest, TornTailIsTrimmedCountedAndPrefixRecovered) {
   const std::string dir = fresh_dir("verihvac_store_test_torn");
   auto log = std::make_shared<TelemetryLog>();

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -78,19 +79,10 @@ TEST(MatrixTest, MultiplyAtBMatchesExplicitTranspose) {
   Matrix a{{1.0, 2.0}, {3.0, 4.0}, {5.0, 6.0}};  // 3x2
   Matrix b{{1.0, 0.0, 1.0}, {0.0, 1.0, 1.0}, {1.0, 1.0, 0.0}};  // 3x3
   const Matrix expect = Matrix::multiply(a.transposed(), b);
-  const Matrix got = Matrix::multiply_at_b(a, b);
+  Matrix got(1, 1, 7.0);  // stale contents: the kernel must reset them
+  Matrix::multiply_at_b_into(a, b, got);
   ASSERT_EQ(got.rows(), expect.rows());
   ASSERT_EQ(got.cols(), expect.cols());
-  for (std::size_t r = 0; r < got.rows(); ++r)
-    for (std::size_t c = 0; c < got.cols(); ++c)
-      EXPECT_DOUBLE_EQ(got(r, c), expect(r, c));
-}
-
-TEST(MatrixTest, MultiplyABtMatchesExplicitTranspose) {
-  Matrix a{{1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}};  // 2x3
-  Matrix b{{1.0, 1.0, 0.0}, {0.0, 2.0, 1.0}};  // 2x3
-  const Matrix expect = Matrix::multiply(a, b.transposed());
-  const Matrix got = Matrix::multiply_a_bt(a, b);
   for (std::size_t r = 0; r < got.rows(); ++r)
     for (std::size_t c = 0; c < got.cols(); ++c)
       EXPECT_DOUBLE_EQ(got(r, c), expect(r, c));
@@ -119,8 +111,8 @@ TEST(MatrixTest, ResizeZeroFillsAndReusesCapacity) {
 }
 
 TEST(MatrixTest, MultiplyIntoMatchesMultiplyBitExact) {
-  // Shapes straddling the 64-wide GEMM tile so the blocked kernel's tile
-  // boundaries (and remainders) are all exercised.
+  // Shapes straddling the kernel's 4-row x 32/8-column register tiles so
+  // every tile boundary and remainder is exercised.
   const std::size_t shapes[][3] = {{1, 1, 1},   {3, 5, 4},    {64, 64, 64},
                                    {65, 64, 3}, {70, 130, 9}, {128, 65, 66}};
   for (const auto& s : shapes) {
@@ -153,6 +145,28 @@ TEST(MatrixTest, MultiplyIntoMatchesMultiplyBitExact) {
       EXPECT_EQ(c.data()[i], via_multiply.data()[i]);
     }
   }
+}
+
+TEST(MatrixTest, ProductsSkipTermsWithAZeroEntryOfA) {
+  // A zero (or -0.0) entry of A contributes nothing, even against an
+  // infinite entry of B, where the product 0 * inf would be NaN.
+  const double inf = std::numeric_limits<double>::infinity();
+  Matrix a{{0.0, 2.0, -0.0}, {1.0, 0.0, 3.0}};  // 2x3
+  Matrix b(3, 9, 1.0);
+  for (std::size_t j = 0; j < b.cols(); ++j) {
+    b(0, j) = inf;  // multiplied only by a(0, 0) == 0 in row 0 ...
+    b(1, j) = 0.5 * static_cast<double>(j);
+  }
+  b(0, 4) = 2.0;  // ... and by a(1, 0) == 1 in row 1: keep that finite in one column
+  Matrix c;
+  Matrix::multiply_into(a, b, c);
+  for (std::size_t j = 0; j < b.cols(); ++j) {
+    EXPECT_EQ(c(0, j), 2.0 * b(1, j)) << "column " << j;
+    EXPECT_EQ(c(1, j), b(0, j) + 3.0) << "column " << j;
+  }
+  // A^T * B walks A by columns: the same zeros, now as rows of A^T.
+  Matrix::multiply_at_b_into(a.transposed(), b, c);
+  for (std::size_t j = 0; j < b.cols(); ++j) EXPECT_EQ(c(0, j), 2.0 * b(1, j)) << "column " << j;
 }
 
 TEST(MatrixTest, MultiplyIntoReusesOutputAllocation) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "common/rng.hpp"
 #include "dynamics/model_eval.hpp"
@@ -154,6 +155,49 @@ TEST(DynamicsModelTest, PredictBatchIntoScratchReuseAcrossBatchSizes) {
   std::vector<double> small;
   model.predict_batch_into(prefix, small, scratch);
   for (std::size_t r = 0; r < prefix.rows(); ++r) EXPECT_EQ(small[r], full[r]);
+}
+
+/// Batched prediction over the first n rows equals scalar prediction row
+/// by row, exactly, for n hitting every 4-row and 8-row tile remainder.
+void expect_batched_matches_scalar(const DynamicsModel& model, const Matrix& inputs,
+                                   const std::string& stage) {
+  BatchScratch scratch;
+  std::vector<double> batched;
+  for (std::size_t n : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 21u, 33u, 87u, 108u, 512u}) {
+    ASSERT_LE(n, inputs.rows());
+    Matrix prefix(n, inputs.cols());
+    for (std::size_t r = 0; r < n; ++r) prefix.set_row(r, inputs.row_view(r));
+    model.predict_batch_into(prefix, batched, scratch);
+    ASSERT_EQ(batched.size(), n);
+    for (std::size_t r = 0; r < n; ++r) {
+      EXPECT_EQ(batched[r], model.predict_raw(inputs.row(r)))
+          << stage << " n " << n << " row " << r;
+    }
+  }
+}
+
+TEST(DynamicsModelTest, PackedWeightsFollowEveryWeightChange) {
+  // predict_batch_into reads a transposed copy of the weights. It must be
+  // rebuilt by train(), fine_tune() and the copy constructor: a stale
+  // copy would keep serving the old weights through the batched path
+  // while the scalar path moves on.
+  DynamicsModelConfig cfg = fast_config();
+  cfg.hidden = {32, 32};  // the pipeline's widths: full 32-output tiles
+  cfg.trainer.epochs = 10;
+  const Matrix inputs = toy_dataset(600, 12).inputs();
+
+  DynamicsModel model(cfg);
+  model.train(toy_dataset(400, 13));
+  expect_batched_matches_scalar(model, inputs, "train");
+
+  DynamicsModel copy(model);
+  expect_batched_matches_scalar(copy, inputs, "copy");
+
+  copy.fine_tune(toy_dataset(200, 14), 3, 1);
+  expect_batched_matches_scalar(copy, inputs, "fine_tune");
+  // The source model kept its own weights and its own packed copy.
+  expect_batched_matches_scalar(model, inputs, "source after copy's fine_tune");
+  EXPECT_NE(copy.predict_raw(inputs.row(0)), model.predict_raw(inputs.row(0)));
 }
 
 TEST(DynamicsModelTest, TrainingReportShowsConvergence) {

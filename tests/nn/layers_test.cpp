@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 namespace verihvac::nn {
 namespace {
@@ -26,6 +27,33 @@ TEST(LinearTest, ForwardBatched) {
   EXPECT_NEAR(out(0, 0), 2.5, 1e-12);
   EXPECT_NEAR(out(1, 0), -0.5, 1e-12);
   EXPECT_NEAR(out(2, 0), 1.5, 1e-12);
+}
+
+TEST(LinearTest, ForwardMatchesExplicitTransposeProduct) {
+  // The training forward's order: (sum_k x[k] * w[o][k] from 0.0, k
+  // ascending) + b[o] — exactly X * W^T through the reference GEMM, then
+  // the bias. Widths cover full and partial 32-output tiles and the thin
+  // head; row counts cover the 4-row and 8-row remainders.
+  Rng rng(31);
+  const std::pair<std::size_t, std::size_t> shapes[] = {{8, 32}, {5, 37}, {32, 9}, {6, 3}};
+  for (const auto& [in, out] : shapes) {
+    Linear layer(in, out);
+    layer.init(rng);
+    for (std::size_t rows = 1; rows <= 17; ++rows) {
+      Matrix x(rows, in);
+      for (double& v : x.data()) v = rng.uniform(-2.0, 2.0);
+      Matrix expect = Matrix::multiply(x, layer.weight().transposed());
+      for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t c = 0; c < out; ++c) expect(r, c) += layer.bias()(0, c);
+      }
+      const Matrix& got = layer.forward(x);
+      ASSERT_EQ(got.rows(), rows);
+      ASSERT_EQ(got.cols(), out);
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got.data()[i], expect.data()[i]) << in << "x" << out << " rows " << rows;
+      }
+    }
+  }
 }
 
 TEST(LinearTest, BackwardGradientsNumerically) {

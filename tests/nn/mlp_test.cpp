@@ -75,30 +75,43 @@ TEST(MlpTest, PredictIsRepeatableWithReusedScratch) {
 TEST(MlpTest, ForwardIntoBitIdenticalToScalarPredict) {
   // The lock-step rollout engine's core contract: batched inference must
   // reproduce the scalar predict hot path to the last bit, for every row
-  // position in the row-blocked thin-layer kernel (kRows = 8 in
-  // Linear::forward_into, so sizes below/at/above 8 cover the remainder
-  // rows) and the register-tiled wide-layer kernel.
-  Mlp net({8, 32, 32, 1});
-  Rng rng(21);
-  net.init(rng);
+  // position of the kernel's tiles — 4-row register tiles with 1-row
+  // remainders on wide layers, 8-row blocks with scalar remainders on the
+  // thin head — and for full and partial 32-wide output tiles (37 = 32 + 5,
+  // 9 < 32), through both the packed and the per-call-staged W^T.
+  const std::vector<std::vector<std::size_t>> architectures = {{8, 32, 32, 1}, {5, 37, 9, 2}};
+  for (const auto& widths : architectures) {
+    Mlp net(widths);
+    Rng rng(21);
+    net.init(rng);
+    PackedWeights packed;
+    net.pack_into(packed);
 
-  for (std::size_t batch_size : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 33u}) {
-    Matrix batch(batch_size, 8);
-    Rng data_rng(100 + batch_size);
-    for (double& v : batch.data()) v = data_rng.uniform(-3.0, 3.0);
+    for (std::size_t batch_size : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 21u, 33u, 87u, 108u, 512u}) {
+      Matrix batch(batch_size, widths.front());
+      Rng data_rng(100 + batch_size);
+      for (double& v : batch.data()) v = data_rng.uniform(-3.0, 3.0);
 
-    BatchScratch scratch;
-    Matrix out;
-    net.forward_into(batch, out, scratch);
-    ASSERT_EQ(out.rows(), batch_size);
-    ASSERT_EQ(out.cols(), 1u);
+      BatchScratch scratch;
+      Matrix staged_out;
+      Matrix packed_out;
+      net.forward_into(batch, staged_out, scratch);
+      net.forward_into(batch, packed, packed_out, scratch);
+      ASSERT_EQ(staged_out.rows(), batch_size);
+      ASSERT_EQ(staged_out.cols(), widths.back());
 
-    std::vector<double> scalar_out;
-    std::vector<double> scalar_scratch;
-    for (std::size_t r = 0; r < batch_size; ++r) {
-      net.predict(batch.row(r), scalar_out, scalar_scratch);
-      // EXPECT_EQ, not EXPECT_DOUBLE_EQ: exact equality, no ULP slack.
-      EXPECT_EQ(out(r, 0), scalar_out[0]) << "batch " << batch_size << " row " << r;
+      std::vector<double> scalar_out;
+      std::vector<double> scalar_scratch;
+      for (std::size_t r = 0; r < batch_size; ++r) {
+        net.predict(batch.row(r), scalar_out, scalar_scratch);
+        for (std::size_t o = 0; o < widths.back(); ++o) {
+          // EXPECT_EQ, not EXPECT_DOUBLE_EQ: exact equality, no ULP slack.
+          EXPECT_EQ(staged_out(r, o), scalar_out[o])
+              << "width " << widths[1] << " batch " << batch_size << " row " << r;
+          EXPECT_EQ(packed_out(r, o), scalar_out[o])
+              << "width " << widths[1] << " batch " << batch_size << " row " << r;
+        }
+      }
     }
   }
 }

@@ -24,7 +24,8 @@ TEST(LossTest, MseMatchesHandComputation) {
 TEST(LossTest, GradientPointsTowardTarget) {
   Matrix pred{{2.0}};
   Matrix target{{0.0}};
-  const Matrix grad = mse_gradient(pred, target);
+  Matrix grad;
+  mse_gradient(pred, target, grad);
   EXPECT_DOUBLE_EQ(grad(0, 0), 4.0);  // 2*(2-0)/1
 }
 
