@@ -135,14 +135,11 @@ int main(int argc, char** argv) {
           if (batched) {
             scorer.rollout_returns(model, obs, forecast, sequences, returns);
           } else {
-            // The PR 1–2 path: per-candidate scalar rollouts sharded over
-            // the same pool, with per-worker scalar predict scratch.
-            std::vector<dyn::PredictScratch> scratches(engine->thread_count());
-            engine->parallel_for(samples, [&](std::size_t worker, std::size_t begin,
-                                              std::size_t end) {
+            // Per-candidate scalar rollouts sharded over the same pool,
+            // each worker on its own thread-local predict scratch.
+            engine->parallel_for(samples, [&](std::size_t, std::size_t begin, std::size_t end) {
               for (std::size_t s = begin; s < end; ++s) {
-                returns[s] = scorer.rollout_return(model, obs, forecast, sequences[s],
-                                                   scratches[worker]);
+                returns[s] = scorer.rollout_return(model, obs, forecast, sequences[s]);
               }
             });
           }

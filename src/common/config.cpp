@@ -1,7 +1,9 @@
 #include "common/config.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
+#include <stdexcept>
 
 namespace verihvac {
 
@@ -11,24 +13,29 @@ std::string env_or(const std::string& name, const std::string& fallback) {
   return value;
 }
 
-long env_or_long(const std::string& name, long fallback) {
+namespace {
+
+/// The whole value must parse: "40abc" and "abc" fail with an error naming
+/// the variable, as the CLI's numeric options do.
+template <typename T>
+T env_number(const std::string& name, T fallback, const char* what) {
   const std::string raw = env_or(name, "");
   if (raw.empty()) return fallback;
-  try {
-    return std::stol(raw);
-  } catch (...) {
-    return fallback;
-  }
+  T value{};
+  const auto [end, error] = std::from_chars(raw.data(), raw.data() + raw.size(), value);
+  if (error == std::errc() && end == raw.data() + raw.size()) return value;
+  throw std::invalid_argument("environment variable " + name + " expects " + what + ", got '" +
+                              raw + "'");
+}
+
+}  // namespace
+
+long env_or_long(const std::string& name, long fallback) {
+  return env_number(name, fallback, "an integer");
 }
 
 double env_or_double(const std::string& name, double fallback) {
-  const std::string raw = env_or(name, "");
-  if (raw.empty()) return fallback;
-  try {
-    return std::stod(raw);
-  } catch (...) {
-    return fallback;
-  }
+  return env_number(name, fallback, "a number");
 }
 
 bool env_flag(const std::string& name) {

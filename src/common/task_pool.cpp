@@ -5,9 +5,12 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
+#include <stdexcept>
+#include <string>
+
+#include "common/config.hpp"
 
 namespace verihvac::common {
 namespace {
@@ -165,11 +168,13 @@ TaskPool::MetricsHook TaskPool::set_metrics_hook(MetricsHook hook) {
 
 std::shared_ptr<const TaskPool> TaskPool::shared() {
   static const std::shared_ptr<const TaskPool> instance = [] {
-    TaskPoolConfig config;
-    if (const char* env = std::getenv("VERI_HVAC_THREADS")) {
-      const long parsed = std::strtol(env, nullptr, 10);
-      if (parsed > 0) config.threads = static_cast<std::size_t>(parsed);
+    const long threads = env_or_long("VERI_HVAC_THREADS", 0);  // 0 = hardware concurrency
+    if (threads < 0) {
+      throw std::invalid_argument("environment variable VERI_HVAC_THREADS expects a "
+                                  "non-negative count, got '" + std::to_string(threads) + "'");
     }
+    TaskPoolConfig config;
+    config.threads = static_cast<std::size_t>(threads);
     return std::make_shared<const TaskPool>(config);
   }();
   return instance;

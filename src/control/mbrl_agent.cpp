@@ -25,10 +25,14 @@ std::size_t MbrlAgent::decide_once(const env::Observation& obs,
 std::vector<std::size_t> MbrlAgent::action_distribution(
     const env::Observation& obs, const std::vector<env::Disturbance>& forecast,
     std::size_t repeats) {
+  // The repeats draw from rng_ in order, as `repeats` decide_once calls
+  // would, and are scored as one batch.
+  const std::vector<RandomShooting::PlanRequest> batch(
+      repeats, RandomShooting::PlanRequest{*model_, obs, forecast, rng_});
+  std::vector<std::size_t> decisions;
+  rs_.optimize_batch(batch, decisions);
   std::vector<std::size_t> counts(actions_.size(), 0);
-  for (std::size_t r = 0; r < repeats; ++r) {
-    ++counts[decide_once(obs, forecast)];
-  }
+  for (const std::size_t action : decisions) ++counts[action];
   return counts;
 }
 

@@ -28,6 +28,8 @@ class MbrlAgent final : public Controller {
 
   /// Runs the stochastic optimizer `repeats` times on the same input and
   /// returns the empirical count per action index (size = action space).
+  /// Counts and the agent's RNG state equal those of `repeats` decide_once
+  /// calls; the repeats are planned as one optimize_batch.
   std::vector<std::size_t> action_distribution(const env::Observation& obs,
                                                const std::vector<env::Disturbance>& forecast,
                                                std::size_t repeats);

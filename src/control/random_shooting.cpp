@@ -7,6 +7,32 @@
 
 namespace verihvac::control {
 
+namespace {
+
+/// The calling thread's persistent RolloutScratch: pool workers live for
+/// the process, so each worker's candidate matrix and activation buffers
+/// warm up once and serve every subsequent batch.
+RolloutScratch& worker_rollout_scratch() {
+  static thread_local RolloutScratch scratch;
+  return scratch;
+}
+
+/// Runs body(begin, end) over [0, n): inline on the caller without an
+/// engine (or with a one-thread engine), else over the engine's contiguous
+/// per-worker slices.
+template <typename Body>
+void for_each_slice(const RolloutEngine* engine, std::size_t n, const Body& body) {
+  if (engine == nullptr || engine->thread_count() <= 1) {
+    body(std::size_t{0}, n);
+    return;
+  }
+  engine->parallel_for(n, [&](std::size_t, std::size_t begin, std::size_t end) {
+    body(begin, end);
+  });
+}
+
+}  // namespace
+
 RandomShooting::RandomShooting(RandomShootingConfig config, const ActionSpace& actions,
                                env::RewardConfig reward)
     : config_(config), actions_(actions), reward_(reward) {
@@ -19,18 +45,10 @@ double RandomShooting::rollout_return(const dyn::DynamicsModel& model,
                                       const env::Observation& obs,
                                       const std::vector<env::Disturbance>& forecast,
                                       const std::vector<std::size_t>& action_sequence) const {
+  assert(forecast.size() >= action_sequence.size());
   // Warm per-thread scratch keeps the single-sequence path allocation-free
   // (VIPER's per-candidate value estimation loops over this entry point).
   static thread_local dyn::PredictScratch scratch;
-  return rollout_return(model, obs, forecast, action_sequence, scratch);
-}
-
-double RandomShooting::rollout_return(const dyn::DynamicsModel& model,
-                                      const env::Observation& obs,
-                                      const std::vector<env::Disturbance>& forecast,
-                                      const std::vector<std::size_t>& action_sequence,
-                                      dyn::PredictScratch& scratch) const {
-  assert(forecast.size() >= action_sequence.size());
   const env::FeatureSchema& schema = model.schema();
   const std::size_t zone_dim = schema.zone_temp_index();
   const std::size_t occ_dim = schema.occupancy_index();
@@ -51,11 +69,6 @@ double RandomShooting::rollout_return(const dyn::DynamicsModel& model,
     schema.apply_disturbance(forecast[t], x.data());
   }
   return total;
-}
-
-RolloutScratch& worker_rollout_scratch() {
-  static thread_local RolloutScratch scratch;
-  return scratch;
 }
 
 void RandomShooting::rollout_returns_slice(const dyn::DynamicsModel& model,
@@ -127,21 +140,14 @@ void RandomShooting::rollout_returns(const dyn::DynamicsModel& model,
                                      const std::vector<std::vector<std::size_t>>& sequences,
                                      std::vector<double>& returns) const {
   returns.resize(sequences.size());
-  if (engine_ == nullptr || engine_->thread_count() <= 1) {
-    rollout_returns_slice(model, obs, forecast, sequences, 0, sequences.size(), returns,
+  // Each worker runs the lock-step pipeline on its contiguous slice with its
+  // own persistent scratch. Slicing cannot change any candidate's
+  // arithmetic (rows are independent through the batched forward), so
+  // decisions stay bit-identical across thread counts.
+  for_each_slice(engine_.get(), sequences.size(), [&](std::size_t begin, std::size_t end) {
+    rollout_returns_slice(model, obs, forecast, sequences, begin, end, returns,
                           worker_rollout_scratch());
-    return;
-  }
-  // The pool shards the batch into contiguous per-worker sub-batches; each
-  // worker runs the lock-step pipeline on its slice with its own
-  // persistent scratch. Slicing cannot change any candidate's arithmetic
-  // (rows are independent through the batched forward), so decisions stay
-  // bit-identical across thread counts.
-  engine_->parallel_for(sequences.size(),
-                        [&](std::size_t, std::size_t begin, std::size_t end) {
-                          rollout_returns_slice(model, obs, forecast, sequences, begin, end,
-                                                returns, worker_rollout_scratch());
-                        });
+  });
 }
 
 std::vector<std::vector<std::size_t>> RandomShooting::draw_sequences(Rng& rng) const {
@@ -161,40 +167,77 @@ std::size_t RandomShooting::optimize(const dyn::DynamicsModel& model,
                                      const env::Observation& obs,
                                      const std::vector<env::Disturbance>& forecast,
                                      Rng& rng) const {
-  if (forecast.size() < config_.horizon) {
-    throw std::invalid_argument("RandomShooting: forecast shorter than horizon");
-  }
-  // Draw every candidate first (the RNG stream is identical to the historical
-  // draw-then-score loop, since scoring consumes no randomness), then score
-  // the whole batch through the engine.
-  const std::vector<std::vector<std::size_t>> sequences = draw_sequences(rng);
-  std::vector<double> returns;
-  rollout_returns(model, obs, forecast, sequences, returns);
+  std::vector<std::size_t> action;
+  optimize_batch({PlanRequest{model, obs, forecast, rng}}, action);
+  return action.front();
+}
 
-  std::size_t best = 0;
-  double best_return = -std::numeric_limits<double>::infinity();
-  for (std::size_t s = 0; s < config_.samples; ++s) {
-    if (returns[s] > best_return) {
-      best_return = returns[s];
-      best = s;
+void RandomShooting::optimize_batch(const std::vector<PlanRequest>& requests,
+                                    std::vector<std::size_t>& actions_out) const {
+  for (const PlanRequest& request : requests) {
+    if (request.forecast.size() < config_.horizon) {
+      throw std::invalid_argument("RandomShooting: forecast shorter than horizon");
     }
   }
-  std::vector<std::size_t> best_sequence = sequences[best];
+  const std::size_t n = requests.size();
+  actions_out.resize(n);
+  if (n == 0) return;
 
-  if (config_.refine_first_action) {
-    // Coordinate-descent pass on the executed action: tail fixed, first
-    // action enumerated exhaustively (one batched |A|-rollout sweep).
-    std::vector<std::vector<std::size_t>> candidates(actions_.size(), best_sequence);
-    for (std::size_t a = 0; a < actions_.size(); ++a) candidates[a].front() = a;
-    rollout_returns(model, obs, forecast, candidates, returns);
-    for (std::size_t a = 0; a < actions_.size(); ++a) {
-      if (returns[a] > best_return) {
-        best_return = returns[a];
-        best_sequence.front() = a;
+  // Draw every candidate first, in request order: scoring consumes no
+  // randomness, so each request sees exactly the stream of a decision made
+  // on its own.
+  std::vector<std::vector<std::vector<std::size_t>>> candidates(n);
+  std::vector<std::vector<std::size_t>> best(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    candidates[i] = draw_sequences(requests[i].rng);
+    best[i] = candidates[i].front();
+  }
+
+  // The requests' candidate sets form one flattened index space
+  // [offsets[i], offsets[i+1]). A worker's contiguous slice may span request
+  // boundaries; each (request, sub-range) overlap advances in lock-step
+  // through the batched predict, so batching cannot change any bits. The
+  // serial first-best argmax then folds the scores into best[i].
+  std::vector<std::vector<double>> returns(n);
+  std::vector<std::size_t> offsets(n + 1, 0);
+  std::vector<double> best_returns(n, -std::numeric_limits<double>::infinity());
+  const auto score_and_select = [&] {
+    for (std::size_t i = 0; i < n; ++i) {
+      offsets[i + 1] = offsets[i] + candidates[i].size();
+      returns[i].resize(candidates[i].size());
+    }
+    for_each_slice(engine_.get(), offsets[n], [&](std::size_t begin, std::size_t end) {
+      std::size_t i = static_cast<std::size_t>(
+          std::upper_bound(offsets.begin(), offsets.end(), begin) - offsets.begin() - 1);
+      for (; i < n && offsets[i] < end; ++i) {
+        const std::size_t lo = std::max(begin, offsets[i]) - offsets[i];
+        const std::size_t hi = std::min(end, offsets[i + 1]) - offsets[i];
+        if (lo >= hi) continue;
+        rollout_returns_slice(requests[i].model, requests[i].obs, requests[i].forecast,
+                              candidates[i], lo, hi, returns[i], worker_rollout_scratch());
+      }
+    });
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t s = 0; s < returns[i].size(); ++s) {
+        if (returns[i][s] > best_returns[i]) {
+          best_returns[i] = returns[i][s];
+          best[i] = candidates[i][s];
+        }
       }
     }
+  };
+  score_and_select();
+
+  if (config_.refine_first_action) {
+    // Coordinate-descent pass on the executed action: each winner's tail
+    // fixed, its first action enumerated exhaustively.
+    for (std::size_t i = 0; i < n; ++i) {
+      candidates[i].assign(actions_.size(), best[i]);
+      for (std::size_t a = 0; a < actions_.size(); ++a) candidates[i][a].front() = a;
+    }
+    score_and_select();
   }
-  return best_sequence.front();
+  for (std::size_t i = 0; i < n; ++i) actions_out[i] = best[i].front();
 }
 
 }  // namespace verihvac::control

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "control/action_space.hpp"
@@ -37,13 +38,6 @@ struct RolloutScratch {
   /// Fused normalize -> network -> denormalize predict scratch.
   dyn::BatchScratch batch;
 };
-
-/// The calling thread's persistent RolloutScratch (static thread_local):
-/// pool workers live for the process, so each worker's candidate matrix
-/// and activation buffers warm up once and serve every subsequent batch.
-/// Shared with the serving scheduler so a worker that runs both the
-/// optimizer path and cross-session serving keeps ONE scratch, not two.
-RolloutScratch& worker_rollout_scratch();
 
 struct RandomShootingConfig {
   std::size_t samples = 1000;  ///< candidate sequences per decision
@@ -73,54 +67,62 @@ class RandomShooting {
   RandomShooting(RandomShootingConfig config, const ActionSpace& actions,
                  env::RewardConfig reward);
 
+  /// One decision: candidates drawn from `rng` roll out through `model` from
+  /// `obs` against `forecast` (>= horizon entries; entry k = disturbances
+  /// at step t+k). Requests may share an Rng: draws go in request order.
+  struct PlanRequest {
+    const dyn::DynamicsModel& model;
+    const env::Observation& obs;
+    const std::vector<env::Disturbance>& forecast;
+    Rng& rng;
+  };
+
   /// One optimization: returns the index (into the action space) of the
-  /// chosen first action. `forecast` must provide >= horizon entries
-  /// (entry k = disturbances at step t+k).
+  /// chosen first action. A batch of one.
   std::size_t optimize(const dyn::DynamicsModel& model, const env::Observation& obs,
                        const std::vector<env::Disturbance>& forecast, Rng& rng) const;
 
-  /// Draws the candidate sequences of one optimize() call (samples x
-  /// horizon; the configured persistent fraction held constant). Scoring
-  /// consumes no randomness, so this is the *entire* stochastic footprint
-  /// of a decision. Exposed for the serving scheduler, which replays a
-  /// decision's exact candidate set from its per-request RNG stream and
-  /// then scores cross-session micro-batches — optimize() itself draws
-  /// through this same code path, keeping the two bit-identical.
+  /// Plans every request, writing actions_out[i] for requests[i]: draws
+  /// each request's candidates in request order, scores all of them in one
+  /// lock-step pass sharded over the engine, takes each request's serial
+  /// first-best argmax, and (refine_first_action) rescores every first
+  /// action under each winner's tail in one more pass. An answer depends
+  /// only on its request, so it is bit-identical for any batch composition,
+  /// order and thread count. A forecast shorter than the horizon throws
+  /// std::invalid_argument before any draw.
+  void optimize_batch(const std::vector<PlanRequest>& requests,
+                      std::vector<std::size_t>& actions_out) const;
+
+  /// Draws the candidate sequences of one decision (samples x horizon; the
+  /// configured persistent fraction held constant). Scoring consumes no
+  /// randomness, so this is the *entire* stochastic footprint of a
+  /// decision.
   std::vector<std::vector<std::size_t>> draw_sequences(Rng& rng) const;
 
-  /// Scores a fixed action sequence (exposed for tests and MPPI reuse).
+  /// Scores a fixed action sequence one scalar model step at a time
+  /// (VIPER's per-action values, tests). Thread-safe: its predict scratch
+  /// is per thread.
   double rollout_return(const dyn::DynamicsModel& model, const env::Observation& obs,
                         const std::vector<env::Disturbance>& forecast,
                         const std::vector<std::size_t>& action_sequence) const;
 
-  /// Thread-safe variant used by the parallel batch path: all prediction
-  /// scratch lives in the caller-provided buffer.
-  double rollout_return(const dyn::DynamicsModel& model, const env::Observation& obs,
-                        const std::vector<env::Disturbance>& forecast,
-                        const std::vector<std::size_t>& action_sequence,
-                        dyn::PredictScratch& scratch) const;
-
-  /// Scores every candidate sequence, writing returns[i] for sequences[i].
-  ///
-  /// Lock-step batch pipeline: candidates advance together one horizon
-  /// step at a time, with each step's N one-step predictions fused into a
-  /// single batched forward (dyn::DynamicsModel::predict_batch_into)
-  /// instead of N scalar predicts. With an engine attached, the batch is
-  /// sharded into per-worker sub-batches over its thread pool, each worker
-  /// running the lock-step pipeline on its contiguous slice with
-  /// persistent thread-local RolloutScratch. Per-candidate arithmetic is
-  /// independent of batch composition, so results are bit-identical to the
-  /// scalar rollout_return path for any thread count and any sharding
-  /// (locked in by tests/control/rollout_engine_test.cpp).
+  /// Scores every candidate sequence, writing returns[i] for sequences[i]
+  /// (the scorer behind CEM and MPPI). Candidates advance in lock-step, one
+  /// batched forward (dyn::DynamicsModel::predict_batch_into) per horizon
+  /// step, sharded over the engine as contiguous per-worker slices.
+  /// Per-candidate arithmetic is independent of batch composition, so
+  /// results are bit-identical to rollout_return for any thread count and
+  /// any sharding (locked in by tests/control/rollout_engine_test.cpp).
   void rollout_returns(const dyn::DynamicsModel& model, const env::Observation& obs,
                        const std::vector<env::Disturbance>& forecast,
                        const std::vector<std::vector<std::size_t>>& sequences,
                        std::vector<double>& returns) const;
 
   /// Lock-step batch scoring of the contiguous slice [begin, end) of
-  /// `sequences` (the per-worker unit of rollout_returns, exposed for the
-  /// throughput bench). Writes returns[s] for s in [begin, end); `returns`
-  /// must already have sequences.size() entries.
+  /// `sequences` (the per-worker unit of rollout_returns and
+  /// optimize_batch, exposed for the throughput bench). Writes returns[s]
+  /// for s in [begin, end); `returns` must already have sequences.size()
+  /// entries.
   void rollout_returns_slice(const dyn::DynamicsModel& model, const env::Observation& obs,
                              const std::vector<env::Disturbance>& forecast,
                              const std::vector<std::vector<std::size_t>>& sequences,
@@ -129,7 +131,6 @@ class RandomShooting {
 
   /// Attaches (or detaches, with nullptr) the parallel rollout engine.
   void set_engine(std::shared_ptr<const RolloutEngine> engine) { engine_ = std::move(engine); }
-  const RolloutEngine* engine() const { return engine_.get(); }
 
   const RandomShootingConfig& config() const { return config_; }
 

@@ -108,22 +108,17 @@ DtPolicy read_policy(std::istream& in, const std::string& context) {
   std::string magic;
   std::string version;
   in >> magic >> version;
-  if (magic != "verihvac-policy" ||
-      (version != "v1" && version != "v2" && version != "v3")) {
-    throw std::runtime_error("read_policy: bad header in " + context);
+  if (magic != "verihvac-policy" || version != "v3") {
+    throw std::runtime_error("read_policy: bad header in " + context +
+                             " (only verihvac-policy v3 bundles load)");
   }
+  std::string tag;
   std::string stated_fingerprint;
-  if (version == "v3") {
-    std::string tag;
-    in >> tag >> stated_fingerprint;
-    if (!in || tag != "fingerprint" || stated_fingerprint.size() != 16) {
-      throw std::runtime_error("read_policy: bad fingerprint line in " + context);
-    }
+  in >> tag >> stated_fingerprint;
+  if (!in || tag != "fingerprint" || stated_fingerprint.size() != 16) {
+    throw std::runtime_error("read_policy: bad fingerprint line in " + context);
   }
-  // v1 bundles predate persisted schemas: they are implicitly the baseline
-  // 6-dim layout.
-  env::FeatureSchema schema =
-      version == "v1" ? env::baseline_schema() : read_schema(in, context);
+  env::FeatureSchema schema = read_schema(in, context);
 
   control::ActionSpaceConfig grid;
   int enforce = 1;
@@ -146,16 +141,14 @@ DtPolicy read_policy(std::istream& in, const std::string& context) {
                              std::to_string(schema.dims()) + " dims) in " + context);
   }
   DtPolicy policy(std::move(tree), std::move(actions), std::move(schema));
-  if (!stated_fingerprint.empty()) {
-    // Recompute over what was actually decoded: a bundle whose content no
-    // longer matches the fingerprint it was sealed with is corrupt or
-    // tampered — never served.
-    const std::string actual = fingerprint_hex(policy_fingerprint(policy));
-    if (actual != stated_fingerprint) {
-      throw std::runtime_error("read_policy: fingerprint mismatch in " + context +
-                               " (stated " + stated_fingerprint + ", content " + actual +
-                               ") — bundle corrupted or tampered");
-    }
+  // Recompute over what was actually decoded: a bundle whose content no
+  // longer matches the fingerprint it was sealed with is corrupt or
+  // tampered — never served.
+  const std::string actual = fingerprint_hex(policy_fingerprint(policy));
+  if (actual != stated_fingerprint) {
+    throw std::runtime_error("read_policy: fingerprint mismatch in " + context + " (stated " +
+                             stated_fingerprint + ", content " + actual +
+                             ") — bundle corrupted or tampered");
   }
   return policy;
 }

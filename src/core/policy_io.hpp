@@ -17,9 +17,9 @@
 //   ...
 //
 // Interval endpoints serialize as "inf"/"-inf" or with round-trip-exact
-// precision, so write -> read -> write is byte-identical. v1 bundles (no
-// schema block) and v2 bundles (no fingerprint) still load; v1 gets the
-// implicit baseline 6-dim schema. The v3 fingerprint is
+// precision, so write -> read -> write is byte-identical. v3 is the only
+// format read_policy accepts: the older v1 (no schema block) and v2 (no
+// fingerprint) texts are refused with std::runtime_error. The fingerprint is
 // core::policy_fingerprint (schema + action grid + tree, the certificate
 // cache's content hash): read_policy recomputes it over the decoded
 // bundle and throws on mismatch, so a tampered or bit-rotted bundle is

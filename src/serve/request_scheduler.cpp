@@ -1,8 +1,6 @@
 #include "serve/request_scheduler.hpp"
 
-#include <algorithm>
 #include <chrono>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -47,6 +45,7 @@ RequestScheduler::RequestScheduler(SchedulerConfig config,
   if (registry_ == nullptr || sessions_ == nullptr) {
     throw std::invalid_argument("RequestScheduler: registry and sessions must be non-null");
   }
+  rs_.set_engine(std::make_shared<const control::RolloutEngine>(pool_));
   // Queue sharding defaults to the session manager's lock sharding so a
   // session's admissions and its batch queue share one shard index.
   const std::size_t shards =
@@ -304,18 +303,19 @@ void RequestScheduler::worker_loop(std::size_t shard) {
 void RequestScheduler::solve_batch(std::vector<Pending>& batch) {
   const obs::TraceSpan span("serve.batch_solve", "serve");
   const auto t_solve = std::chrono::steady_clock::now();
-  struct Job {
-    Pending* pending = nullptr;
-    std::shared_ptr<const dyn::DynamicsModel> model;
-    std::uint64_t model_generation = 0;
-    std::vector<std::vector<std::size_t>> sequences;
-    std::vector<double> returns;
-    std::size_t offset = 0;  ///< start in the flattened candidate space
+  struct Admitted {
+    Pending* pending;
+    ModelEntry model;
+    Rng rng;
   };
 
-  const std::size_t horizon = rs_.config().horizon;
-  std::vector<Job> jobs;
+  // Per-request validation: a request without a model or with a short
+  // forecast fails alone; the rest of the batch is planned together, as
+  // one RandomShooting::optimize_batch over the shared pool. `jobs` never
+  // outgrows its reservation, so the plan requests' references into it hold.
+  std::vector<Admitted> jobs;
   jobs.reserve(batch.size());
+  std::vector<control::RandomShooting::PlanRequest> requests;
   for (Pending& pending : batch) {
     try {
       ModelEntry entry = model_for(pending.ticket.policy_key);
@@ -323,87 +323,22 @@ void RequestScheduler::solve_batch(std::vector<Pending>& batch) {
         throw std::runtime_error("RequestScheduler: no dynamics model installed for key '" +
                                  pending.ticket.policy_key + "'");
       }
-      if (pending.request.forecast.size() < horizon) {
+      if (pending.request.forecast.size() < rs_.config().horizon) {
         throw std::invalid_argument(
             "RequestScheduler: MBRL request forecast shorter than the optimizer horizon");
       }
-      // The decision's entire stochastic footprint: candidate draws from
-      // the per-request counter-based stream fixed at admission.
-      Rng rng = Rng::stream(pending.ticket.seed, pending.ticket.stream);
-      Job job;
-      job.pending = &pending;
-      job.model = std::move(entry.model);
-      job.model_generation = entry.generation;
-      job.sequences = rs_.draw_sequences(rng);
-      job.returns.assign(job.sequences.size(), 0.0);
-      jobs.push_back(std::move(job));
+      // The candidates come from the per-request counter-based stream
+      // fixed at admission.
+      Admitted& job = jobs.emplace_back(Admitted{
+          &pending, std::move(entry), Rng::stream(pending.ticket.seed, pending.ticket.stream)});
+      requests.push_back(
+          {*job.model.model, pending.request.observation, pending.request.forecast, job.rng});
     } catch (...) {
       pending.promise.set_exception(std::current_exception());
     }
   }
-
-  // Cross-session scoring: the union of every job's candidates forms one
-  // flattened index space; a worker's contiguous slice may span request
-  // boundaries, and each (job, sub-range) overlap advances in lock-step
-  // through the batched predict kernels. Slicing cannot change any
-  // candidate's arithmetic, so decisions are independent of batching.
-  const auto score = [this](std::vector<Job>& scored) {
-    std::size_t total = 0;
-    for (Job& job : scored) {
-      job.offset = total;
-      total += job.sequences.size();
-    }
-    if (total == 0) return;
-    pool_->parallel_for(total, [this, &scored](std::size_t, std::size_t begin, std::size_t end) {
-      std::size_t j = 0;
-      while (j < scored.size() && scored[j].offset + scored[j].sequences.size() <= begin) ++j;
-      for (; j < scored.size() && scored[j].offset < end; ++j) {
-        Job& job = scored[j];
-        const std::size_t lo = std::max(begin, job.offset) - job.offset;
-        const std::size_t hi = std::min(end, job.offset + job.sequences.size()) - job.offset;
-        if (lo >= hi) continue;
-        rs_.rollout_returns_slice(*job.model, job.pending->request.observation,
-                                  job.pending->request.forecast, job.sequences, lo, hi,
-                                  job.returns, control::worker_rollout_scratch());
-      }
-    });
-  };
-  score(jobs);
-
-  // Winner selection per request — serial scans, exactly the argmax (and
-  // optional first-action refinement sweep) of RandomShooting::optimize.
-  std::vector<double> best_returns(jobs.size(), -std::numeric_limits<double>::infinity());
-  std::vector<std::vector<std::size_t>> best_sequences(jobs.size());
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    std::size_t best = 0;
-    for (std::size_t s = 0; s < jobs[j].returns.size(); ++s) {
-      if (jobs[j].returns[s] > best_returns[j]) {
-        best_returns[j] = jobs[j].returns[s];
-        best = s;
-      }
-    }
-    best_sequences[j] = jobs[j].sequences[best];
-  }
-
-  if (rs_.config().refine_first_action && !jobs.empty()) {
-    std::vector<Job> refine(jobs.size());
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-      refine[j].pending = jobs[j].pending;
-      refine[j].model = jobs[j].model;
-      refine[j].sequences.assign(actions_.size(), best_sequences[j]);
-      for (std::size_t a = 0; a < actions_.size(); ++a) refine[j].sequences[a].front() = a;
-      refine[j].returns.assign(actions_.size(), 0.0);
-    }
-    score(refine);
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-      for (std::size_t a = 0; a < actions_.size(); ++a) {
-        if (refine[j].returns[a] > best_returns[j]) {
-          best_returns[j] = refine[j].returns[a];
-          best_sequences[j].front() = a;
-        }
-      }
-    }
-  }
+  std::vector<std::size_t> actions;
+  rs_.optimize_batch(requests, actions);
 
   // Counters first, promises second: set_value releases the waiter, and a
   // caller reading stats() right after future.get() must already see this
@@ -428,7 +363,7 @@ void RequestScheduler::solve_batch(std::vector<Pending>& batch) {
   if (!jobs.empty()) obs_.mbrl_solve->observe(solve_seconds);
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     ControlDecision decision;
-    decision.action_index = best_sequences[j].front();
+    decision.action_index = actions[j];
     decision.action = actions_.action(decision.action_index);
     decision.kind = RequestKind::kMbrlFallback;
     decision.policy_version = 0;
@@ -444,11 +379,11 @@ void RequestScheduler::solve_batch(std::vector<Pending>& batch) {
       // MBRL events carry the serving model's generation where DT events
       // carry the bundle's registry version — replay needs to know which
       // hot-swapped model decided.
-      event.policy_version = jobs[j].model_generation;
+      event.policy_version = jobs[j].model.generation;
       event.action_index = decision.action_index;
       event.action = decision.action;
       event.observation = &jobs[j].pending->request.observation;
-      event.schema = &jobs[j].model->schema();
+      event.schema = &jobs[j].model.model->schema();
       event.forecast = &jobs[j].pending->request.forecast;
       event.latency_seconds = solve_seconds;
       event.timed = true;

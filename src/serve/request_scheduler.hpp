@@ -12,13 +12,14 @@
 //     aligned to the SessionManager sharding (session id % shard count),
 //     so front ends serving different shards push without contending on
 //     one queue lock; each shard has its own scheduler thread coalescing
-//     arrivals into a micro-batch (up to max_batch) and scoring the union
-//     as ONE cross-session batch: all candidates of all coalesced
-//     requests form a single flattened index space fanned out over the
-//     shared common::TaskPool, each worker advancing its contiguous slice
-//     in lock-step through dyn::DynamicsModel::predict_batch_into (the
-//     PR 3 kernels) with persistent thread-local scratch. A worker slice
-//     can span request boundaries, so load balances across sessions.
+//     arrivals into a micro-batch (up to max_batch) and planning it as ONE
+//     control::RandomShooting::optimize_batch: all candidates of all
+//     coalesced requests form a single flattened index space fanned out
+//     over the shared common::TaskPool, each worker advancing its
+//     contiguous slice in lock-step through
+//     dyn::DynamicsModel::predict_batch_into with persistent thread-local
+//     scratch. A worker slice can span request boundaries, so load
+//     balances across sessions.
 //
 //     The batching window is deadline-driven (SLO-aware), not a fixed
 //     timer: every request carries a latency budget
@@ -29,9 +30,9 @@
 //     the upper bound for budget-less traffic.
 //
 // Determinism contract: a decision depends only on (session seed, decision
-// index, observation, forecast, bundle/model). Candidate draws happen
-// serially at admission from the per-request stream Rng::stream(seed,
-// decision_index); per-candidate scoring arithmetic is independent of
+// index, observation, forecast, bundle/model). Candidate draws come from
+// the per-request stream Rng::stream(seed, decision_index) pinned at
+// admission; per-candidate scoring arithmetic is independent of
 // batch composition and slicing (PR 3 invariant); the argmax is a serial
 // scan. Hence micro-batched decisions are BIT-IDENTICAL to per-session
 // scalar serving for any thread count and any batch coalescing — locked in
@@ -203,7 +204,8 @@ class RequestScheduler {
   /// Stamps the request's deadline from its (or the default) budget.
   std::chrono::steady_clock::time_point deadline_for(const ControlRequest& request) const;
   void worker_loop(std::size_t shard);
-  /// Draws, scores and answers one coalesced batch (fulfills promises).
+  /// Validates, plans (RandomShooting::optimize_batch) and answers one
+  /// coalesced batch (fulfills promises).
   void solve_batch(std::vector<Pending>& batch);
 
   SchedulerConfig config_;

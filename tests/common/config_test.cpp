@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
 
 namespace verihvac {
 namespace {
@@ -36,8 +38,11 @@ TEST_F(ConfigTest, EmptyValueFallsBack) {
 TEST_F(ConfigTest, LongParsesAndFallsBack) {
   SetEnv("VH_TEST_NUM", "123");
   EXPECT_EQ(env_or_long("VH_TEST_NUM", 7), 123);
-  SetEnv("VH_TEST_NUM", "not a number");
-  EXPECT_EQ(env_or_long("VH_TEST_NUM", 7), 7);
+  // A malformed knob fails loudly instead of silently running a default.
+  for (const char* malformed : {"not a number", "40abc", " 40", "4.5"}) {
+    SetEnv("VH_TEST_NUM", malformed);
+    EXPECT_THROW(env_or_long("VH_TEST_NUM", 7), std::invalid_argument) << malformed;
+  }
   UnsetEnv("VH_TEST_NUM");
   EXPECT_EQ(env_or_long("VH_TEST_NUM", 9), 9);
 }
@@ -45,6 +50,13 @@ TEST_F(ConfigTest, LongParsesAndFallsBack) {
 TEST_F(ConfigTest, DoubleParses) {
   SetEnv("VH_TEST_NUM", "2.5");
   EXPECT_DOUBLE_EQ(env_or_double("VH_TEST_NUM", 0.0), 2.5);
+  SetEnv("VH_TEST_NUM", "2.5x");
+  try {
+    env_or_double("VH_TEST_NUM", 0.0);
+    ADD_FAILURE() << "2.5x parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("VH_TEST_NUM"), std::string::npos) << e.what();
+  }
 }
 
 TEST_F(ConfigTest, FlagRecognizesTruthyStrings) {

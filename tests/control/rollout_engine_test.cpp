@@ -6,13 +6,16 @@
 #include <atomic>
 #include <cmath>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "control/cem.hpp"
+#include "control/mbrl_agent.hpp"
 #include "control/mppi.hpp"
 #include "control/random_shooting.hpp"
+#include "control/rs_reference.hpp"
 
 namespace verihvac::control {
 namespace {
@@ -99,28 +102,37 @@ class ParallelRolloutTest : public ::testing::Test {
   }
 
   static const dyn::DynamicsModel& model() {
-    static dyn::DynamicsModel* instance = [] {
-      Rng rng(1);
-      dyn::TransitionDataset data;
-      for (int i = 0; i < 1500; ++i) {
-        dyn::Transition t;
-        t.input = {rng.uniform(14.0, 28.0), rng.uniform(-8.0, 12.0), 50.0, 3.0,
-                   rng.uniform(0.0, 400.0), rng.bernoulli(0.5) ? 11.0 : 0.0};
-        t.action.heating_c = static_cast<double>(rng.uniform_int(15, 23));
-        t.action.cooling_c = static_cast<double>(
-            rng.uniform_int(std::max(21, static_cast<int>(t.action.heating_c)), 30));
-        t.next_zone_temp = toy_plant(t.input, t.action);
-        data.add(t);
-      }
-      dyn::DynamicsModelConfig cfg;
-      cfg.hidden = {16, 16};
-      cfg.trainer.epochs = 30;
-      cfg.trainer.adam.learning_rate = 3e-3;
-      auto* m = new dyn::DynamicsModel(cfg);
-      m->train(data);
-      return m;
-    }();
+    static const dyn::DynamicsModel* instance = train_toy(1, {16, 16});
     return *instance;
+  }
+
+  /// A second, differently shaped model for mixed-model batches.
+  static const dyn::DynamicsModel& other_model() {
+    static const dyn::DynamicsModel* instance = train_toy(2, {24});
+    return *instance;
+  }
+
+  static const dyn::DynamicsModel* train_toy(std::uint64_t seed,
+                                             std::vector<std::size_t> hidden) {
+    Rng rng(seed);
+    dyn::TransitionDataset data;
+    for (int i = 0; i < 1500; ++i) {
+      dyn::Transition t;
+      t.input = {rng.uniform(14.0, 28.0), rng.uniform(-8.0, 12.0), 50.0, 3.0,
+                 rng.uniform(0.0, 400.0), rng.bernoulli(0.5) ? 11.0 : 0.0};
+      t.action.heating_c = static_cast<double>(rng.uniform_int(15, 23));
+      t.action.cooling_c = static_cast<double>(
+          rng.uniform_int(std::max(21, static_cast<int>(t.action.heating_c)), 30));
+      t.next_zone_temp = toy_plant(t.input, t.action);
+      data.add(t);
+    }
+    dyn::DynamicsModelConfig cfg;
+    cfg.hidden = std::move(hidden);
+    cfg.trainer.epochs = 30;
+    cfg.trainer.adam.learning_rate = 3e-3;
+    auto* m = new dyn::DynamicsModel(cfg);
+    m->train(data);
+    return m;
   }
 
   static env::Observation cold_occupied() {
@@ -293,9 +305,162 @@ TEST_F(ParallelRolloutTest, RandomShootingDecisionIdenticalAcrossThreadCounts) {
     for (std::uint64_t seed : {3u, 17u, 91u}) {
       Rng rng_a(seed);
       Rng rng_b(seed);
-      EXPECT_EQ(serial.optimize(model(), obs, forecast, rng_a),
-                parallel.optimize(model(), obs, forecast, rng_b))
+      EXPECT_EQ(
+          testing::reference_optimize(serial, actions.size(), model(), obs, forecast, rng_a),
+          parallel.optimize(model(), obs, forecast, rng_b))
           << threads << " threads, seed " << seed;
+    }
+  }
+}
+
+class RandomShootingTest : public ParallelRolloutTest {};
+
+TEST_F(RandomShootingTest, OptimizeBatchMatchesScalarReference) {
+  // Seven distinct decisions: two differently shaped models, cold to warm
+  // and occupied/unoccupied zones, drifting forecasts of 5-7 steps.
+  struct Decision {
+    const dyn::DynamicsModel* model;
+    env::Observation obs;
+    std::vector<env::Disturbance> forecast;
+    std::uint64_t seed;
+  };
+  std::vector<Decision> decisions;
+  for (std::size_t k = 0; k < 7; ++k) {
+    Decision d{k % 2 == 0 ? &model() : &other_model(), cold_occupied(), {}, 100 + 13 * k};
+    d.obs.zone_temp_c = 15.0 + 1.5 * static_cast<double>(k);
+    if (k % 3 == 2) d.obs.occupants = 0.0;
+    d.forecast = persistence_forecast(d.obs, 5 + k % 3);
+    for (std::size_t t = 0; t < d.forecast.size(); ++t) {
+      d.forecast[t].weather.outdoor_temp_c += (k % 2 == 0 ? 0.7 : -0.7) * static_cast<double>(t);
+    }
+    decisions.push_back(std::move(d));
+  }
+
+  // Plans decisions[order[i]] as request i, each from a fresh Rng(seed);
+  // also returns each stream's next draw, so the draws consumed are checked.
+  const auto plan = [&](const RandomShooting& rs, const std::vector<std::size_t>& order,
+                        std::vector<std::uint64_t>& next_draws) {
+    std::vector<Rng> rngs;
+    rngs.reserve(order.size());
+    std::vector<RandomShooting::PlanRequest> requests;
+    for (const std::size_t k : order) {
+      rngs.emplace_back(decisions[k].seed);
+      requests.push_back({*decisions[k].model, decisions[k].obs, decisions[k].forecast,
+                          rngs.back()});
+    }
+    std::vector<std::size_t> actions_out;
+    rs.optimize_batch(requests, actions_out);
+    next_draws.clear();
+    for (Rng& rng : rngs) next_draws.push_back(rng());
+    return actions_out;
+  };
+
+  const ActionSpace actions;
+  for (const bool refine : {false, true}) {
+    RandomShootingConfig cfg;
+    cfg.samples = 48;
+    cfg.horizon = 5;
+    cfg.refine_first_action = refine;
+    const RandomShooting scalar(cfg, actions, env::RewardConfig{});
+    std::vector<std::size_t> expected;
+    std::vector<std::uint64_t> expected_next;
+    for (const Decision& d : decisions) {
+      Rng rng(d.seed);
+      expected.push_back(
+          testing::reference_optimize(scalar, actions.size(), *d.model, d.obs, d.forecast, rng));
+      expected_next.push_back(rng());
+    }
+    // The batch must tell the decisions apart for the permutations to mean
+    // anything.
+    EXPECT_GT(std::set<std::size_t>(expected.begin(), expected.end()).size(), 1u)
+        << "refine " << refine;
+
+    for (const std::size_t threads : {1u, 4u, 8u}) {
+      RandomShooting rs(cfg, actions, env::RewardConfig{});
+      rs.set_engine(engine_with_threads(threads));
+      std::vector<std::vector<std::size_t>> orders;
+      for (const std::size_t size : {1u, 2u, 7u}) {
+        std::vector<std::size_t> order(size);
+        std::iota(order.begin(), order.end(), std::size_t{0});
+        orders.push_back(order);
+        std::reverse(order.begin(), order.end());
+        orders.push_back(order);
+      }
+      orders.push_back({3, 6, 0, 5, 1, 4, 2});
+      for (const std::vector<std::size_t>& order : orders) {
+        std::vector<std::uint64_t> next_draws;
+        const std::vector<std::size_t> got = plan(rs, order, next_draws);
+        ASSERT_EQ(got.size(), order.size());
+        for (std::size_t i = 0; i < order.size(); ++i) {
+          EXPECT_EQ(got[i], expected[order[i]])
+              << "refine " << refine << ", " << threads << " threads, batch of "
+              << order.size() << ", decision " << order[i] << " at position " << i;
+          EXPECT_EQ(next_draws[i], expected_next[order[i]]) << "decision " << order[i];
+        }
+      }
+
+      // One Rng shared by all seven requests: they draw from it in request
+      // order, exactly as seven sequential decisions would.
+      Rng shared(4242);
+      Rng sequential(4242);
+      std::vector<RandomShooting::PlanRequest> requests;
+      std::vector<std::size_t> sequential_answers;
+      for (const Decision& d : decisions) {
+        requests.push_back({*d.model, d.obs, d.forecast, shared});
+        sequential_answers.push_back(testing::reference_optimize(
+            scalar, actions.size(), *d.model, d.obs, d.forecast, sequential));
+      }
+      std::vector<std::size_t> got;
+      rs.optimize_batch(requests, got);
+      EXPECT_EQ(got, sequential_answers) << "shared Rng, " << threads << " threads";
+      EXPECT_EQ(shared(), sequential());
+    }
+  }
+}
+
+TEST_F(RandomShootingTest, OptimizeBatchRejectsShortForecastBeforeDrawing) {
+  RandomShootingConfig cfg;
+  cfg.samples = 8;
+  cfg.horizon = 5;
+  const RandomShooting rs(cfg, ActionSpace{}, env::RewardConfig{});
+  const env::Observation obs = cold_occupied();
+  const auto full = persistence_forecast(obs, 5);
+  const auto short_forecast = persistence_forecast(obs, 4);
+  Rng rng(5);
+  std::vector<std::size_t> actions_out;
+  EXPECT_THROW(rs.optimize_batch({{model(), obs, full, rng}, {model(), obs, short_forecast, rng}},
+                                 actions_out),
+               std::invalid_argument);
+  Rng fresh(5);
+  EXPECT_EQ(rng(), fresh());
+}
+
+class MbrlAgentTest : public ParallelRolloutTest {};
+
+TEST_F(MbrlAgentTest, ActionDistributionMatchesSequentialDecisions) {
+  // Plain (unrefined) random shooting: decisions vary with the draws, so
+  // equal counts and equal follow-up decisions mean equal streams.
+  RandomShootingConfig cfg;
+  cfg.samples = 24;
+  cfg.horizon = 5;
+  const env::Observation obs = cold_occupied();
+  const auto forecast = persistence_forecast(obs, 5);
+  constexpr std::size_t kRepeats = 12;
+  for (const std::size_t threads : {1u, 4u}) {
+    MbrlAgent batched(model(), cfg, ActionSpace{}, env::RewardConfig{}, /*seed=*/77);
+    batched.set_engine(engine_with_threads(threads));
+    MbrlAgent sequential(model(), cfg, ActionSpace{}, env::RewardConfig{}, /*seed=*/77);
+
+    const std::vector<std::size_t> counts = batched.action_distribution(obs, forecast, kRepeats);
+    std::vector<std::size_t> expected(ActionSpace{}.size(), 0);
+    for (std::size_t r = 0; r < kRepeats; ++r) ++expected[sequential.decide_once(obs, forecast)];
+    EXPECT_EQ(counts, expected) << threads << " threads";
+    EXPECT_GT(std::count_if(expected.begin(), expected.end(), [](std::size_t c) { return c > 0; }),
+              1)
+        << "the optimizer should be stochastic at this budget";
+    for (int next = 0; next < 3; ++next) {
+      EXPECT_EQ(batched.decide_once(obs, forecast), sequential.decide_once(obs, forecast))
+          << threads << " threads, decision " << kRepeats + next;
     }
   }
 }

@@ -4,6 +4,8 @@
 
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "common/rng.hpp"
 #include "envlib/feature_schema.hpp"
@@ -159,7 +161,7 @@ TEST(PolicyIoTest, TimeAwareSchemaRoundTrip) {
 }
 
 /// Deletes the "fingerprint <hex>" line a v3 bundle carries, for building
-/// the legacy v1/v2 texts the reader must keep accepting.
+/// the legacy v1/v2 texts the reader refuses.
 void erase_fingerprint_line(std::string& text) {
   const auto start = text.find("\nfingerprint ");
   ASSERT_NE(start, std::string::npos);
@@ -167,11 +169,22 @@ void erase_fingerprint_line(std::string& text) {
   text.erase(start + 1, end - start);
 }
 
-TEST(PolicyIoTest, V1BundleLoadsAsBaselineSchema) {
+/// Reads `text` and requires the typed header refusal that names v3.
+void expect_refused_as_legacy(const std::string& text) {
+  std::stringstream in(text);
+  try {
+    read_policy(in);
+    ADD_FAILURE() << "legacy bundle loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("only verihvac-policy v3"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(PolicyIoTest, V1BundleIsRefused) {
   // v1 bundles predate persisted schemas and fingerprints: header line
-  // then action grid, nothing else. The reader must treat them as the
-  // implicit baseline 6-dim layout and make every original decision
-  // unchanged.
+  // then action grid, nothing else. Their schema was implicit and their
+  // content unsealed, so they no longer load.
   const DtPolicy original = make_policy();
   std::stringstream buffer;
   write_policy(original, buffer);
@@ -182,24 +195,12 @@ TEST(PolicyIoTest, V1BundleLoadsAsBaselineSchema) {
   const auto pos = text.find("verihvac-policy v3");
   ASSERT_NE(pos, std::string::npos);
   text.replace(pos, std::string("verihvac-policy v3").size(), "verihvac-policy v1");
-
-  std::stringstream v1(text);
-  const DtPolicy reloaded = read_policy(v1);
-  EXPECT_EQ(reloaded.schema(), env::baseline_schema());
-  Rng rng(21);
-  for (int i = 0; i < 100; ++i) {
-    std::vector<double> x(6);
-    for (double& v : x) v = rng.uniform(-10.0, 40.0);
-    const auto a = original.decide(x);
-    const auto b = reloaded.decide(x);
-    EXPECT_DOUBLE_EQ(a.heating_c, b.heating_c);
-    EXPECT_DOUBLE_EQ(a.cooling_c, b.cooling_c);
-  }
+  expect_refused_as_legacy(text);
 }
 
-TEST(PolicyIoTest, V2BundleLoadsWithSchemaAndNoFingerprintCheck) {
-  // v2 bundles carry the schema block but predate the fingerprint line.
-  // They must keep loading with the persisted schema intact.
+TEST(PolicyIoTest, V2BundleIsRefused) {
+  // v2 bundles carry the schema block but predate the fingerprint line, so
+  // their content cannot be checked: they no longer load.
   const DtPolicy original = make_time_aware_policy();
   std::stringstream buffer;
   write_policy(original, buffer);
@@ -208,11 +209,7 @@ TEST(PolicyIoTest, V2BundleLoadsWithSchemaAndNoFingerprintCheck) {
   const auto pos = text.find("verihvac-policy v3");
   ASSERT_NE(pos, std::string::npos);
   text.replace(pos, std::string("verihvac-policy v3").size(), "verihvac-policy v2");
-
-  std::stringstream v2(text);
-  const DtPolicy reloaded = read_policy(v2);
-  EXPECT_EQ(reloaded.schema(), env::time_aware_schema());
-  EXPECT_EQ(reloaded.tree().node_count(), original.tree().node_count());
+  expect_refused_as_legacy(text);
 }
 
 TEST(PolicyIoTest, RejectsSchemaTreeDimsMismatch) {

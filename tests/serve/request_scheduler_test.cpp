@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "control/rs_reference.hpp"
 #include "obs/instruments.hpp"
 #include "obs/trace.hpp"
 #include "serve_test_utils.hpp"
@@ -52,10 +53,11 @@ std::vector<ScenarioRequest> mixed_scenario() {
 
 std::uint64_t slot_seed(std::size_t slot) { return 1000 + 17 * slot; }
 
-/// The per-session scalar reference: RandomShooting::optimize fed the same
-/// counter-based stream the scheduler admits the request under. This is
-/// deliberately independent code (the optimizer's own serial path), so the
-/// test locks scheduler decisions to the library's ground truth.
+/// The per-session scalar reference: the test-only scalar planner
+/// (control/rs_reference.hpp) fed the same counter-based stream the
+/// scheduler admits the request under. It shares only the candidate draws
+/// with RandomShooting::optimize_batch, which the scheduler calls, so the
+/// test locks scheduler decisions to independent ground truth.
 std::vector<std::size_t> reference_decisions(const std::vector<ScenarioRequest>& scenario,
                                              const dyn::DynamicsModel& model,
                                              const control::RandomShootingConfig& rs_config) {
@@ -65,7 +67,9 @@ std::vector<std::size_t> reference_decisions(const std::vector<ScenarioRequest>&
   for (const ScenarioRequest& item : scenario) {
     const env::Observation obs = cold_occupied(item.zone_temp);
     Rng rng = Rng::stream(slot_seed(item.session_slot), next_stream[item.session_slot]++);
-    expected.push_back(rs.optimize(model, obs, steady_forecast(obs, rs_config.horizon), rng));
+    expected.push_back(control::testing::reference_optimize(
+        rs, control::ActionSpace{}.size(), model, obs, steady_forecast(obs, rs_config.horizon),
+        rng));
   }
   return expected;
 }
@@ -431,7 +435,8 @@ TEST(RequestSchedulerTest, DefaultModelBacksKeysWithoutDedicatedEntry) {
   const control::RandomShooting rs(rs_config, control::ActionSpace{}, env::RewardConfig{});
   Rng rng = Rng::stream(7, 0);
   EXPECT_EQ(decision.action_index,
-            rs.optimize(*model, request.observation, request.forecast, rng));
+            control::testing::reference_optimize(rs, control::ActionSpace{}.size(), *model,
+                                                 request.observation, request.forecast, rng));
 }
 
 // Observability must observe, never steer: decisions AND the exact Stats
@@ -453,7 +458,9 @@ TEST(RequestSchedulerTest, StatsCountersAreThreadCountInvariantWithObsEnabled) {
   for (const ScenarioRequest& item : scenario) {
     const env::Observation obs = cold_occupied(item.zone_temp);
     Rng rng = Rng::stream(slot_seed(item.session_slot), next_stream[item.session_slot]++);
-    expected.push_back(rs.optimize(*model, obs, steady_forecast(obs, rs_config.horizon), rng));
+    expected.push_back(control::testing::reference_optimize(
+        rs, control::ActionSpace{}.size(), *model, obs, steady_forecast(obs, rs_config.horizon),
+        rng));
   }
 
   obs::TraceCollector::global().enable();
